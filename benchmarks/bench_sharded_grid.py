@@ -1,29 +1,12 @@
-"""Sharded columnar ER-grid: vectorized cell scan + worker-side ER phase.
+"""Columnar ER-grid cell scan: vectorized kernel vs the scalar cell walk.
 
-Two sections:
-
-* **cell scan** — the cell-level aggregate test of ``candidate_synopses``
-  (min converted-space L1 distance of the query rectangle to every cell)
-  evaluated per cell in Python (the seed walk) vs one
-  :func:`~repro.core.pruning.batch_cell_scan` kernel call over the
-  columnar :class:`~repro.indexes.er_grid.CellStore`.  Masks are asserted
-  identical; the acceptance bar is >= 3x at >= 100 cells.
-* **ER phase end-to-end** — lookup + pruning + refinement over a
-  refinement-heavy stream through (a) the ``SerialExecutor`` (the serial
-  per-tuple lookup baseline), (b) the in-process vectorized micro-batch
-  executor, (c) ``shard_lookup`` with a broadcast
-  :class:`~repro.runtime.workers.ShardedERPool` (full replicas, per-batch
-  deltas to every worker), and (d) the shared-memory plane
-  (:class:`~repro.runtime.workers.ShmShardedERPool`: workers map the
-  columnar arenas; only the op journal and routed record deltas are
-  pickled) at 1/2/4 workers plus a routing-off row as its own shipping
-  baseline.  Match sets are asserted identical; the acceptance bar is
-  >= 2x ER-phase speedup for the 4-worker sharded run vs the serial
-  lookup — gated on *effective* CPUs (``len(os.sched_getaffinity(0))``):
-  on a container with fewer schedulable cores than workers the speedup
-  targets are skipped with a visible note in the JSON, because there is
-  no hardware to parallelise into (the byte columns remain meaningful and
-  are still published).
+The cell-level aggregate test of ``candidate_synopses`` (min converted-space
+L1 distance of the query rectangle to every cell) evaluated per cell in
+Python — the walk the ``SerialExecutor`` takes — vs one
+:func:`~repro.core.pruning.batch_cell_scan` kernel call over the columnar
+:class:`~repro.indexes.er_grid.CellStore` — the scan the
+``MicroBatchExecutor`` takes.  Masks are asserted identical; the
+acceptance bar is >= 3x (median over repeats) at >= 100 cells.
 
 Run directly::
 
@@ -33,6 +16,7 @@ Run directly::
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -41,65 +25,41 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from bench_utils import bench_argument_parser, write_bench_json  # noqa: E402
+from bench_utils import (  # noqa: E402
+    bench_argument_parser,
+    effective_cpus,
+    write_bench_json,
+)
 from repro.core.config import TERiDSConfig  # noqa: E402
 from repro.core.engine import TERiDSEngine  # noqa: E402
 from repro.core.pruning import HAS_NUMPY  # noqa: E402
 from repro.datasets.synthetic import generate_dataset  # noqa: E402
 from repro.experiments.harness import format_rows  # noqa: E402
-from repro.metrics.timing import STAGE_ER, now  # noqa: E402
-from repro.runtime import MicroBatchExecutor, SerialExecutor  # noqa: E402
+from repro.metrics.timing import now  # noqa: E402
 
 BENCH_NAME = "sharded_grid"
 BENCH_DATASET = "citations"
 BENCH_SEED = 7
 SCAN_TARGET_SPEEDUP = 3.0
 SCAN_TARGET_CELLS = 100
-ER_TARGET_SPEEDUP = 2.0
-ER_TARGET_WORKERS = 4
 
 
-def effective_cpus() -> int:
-    """Schedulable CPUs of this process (cgroup/affinity aware).
-
-    ``os.cpu_count()`` reports the host's cores; a containerised bench can
-    be pinned to far fewer.  Multi-worker speedup targets are keyed on
-    this number — with fewer effective CPUs than workers there is no
-    hardware to parallelise into and the targets are skipped (visibly).
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux platforms
-        return os.cpu_count() or 1
-
-
-def _build_engine(missing_rate, scale, window, cells_per_dim, alpha,
-                  similarity_ratio, executor=None):
-    workload = generate_dataset(BENCH_DATASET, missing_rate=missing_rate,
-                                scale=scale, seed=BENCH_SEED)
-    config = TERiDSConfig(schema=workload.schema, keywords=workload.keywords,
-                          alpha=alpha, similarity_ratio=similarity_ratio,
-                          window_size=window, grid_cells_per_dim=cells_per_dim)
-    engine = TERiDSEngine(repository=workload.repository, config=config,
-                          executor=executor)
-    return engine, workload, config
-
-
-# ---------------------------------------------------------------------------
-# Section 1: vectorized cell scan vs the scalar cell walk
-# ---------------------------------------------------------------------------
 def run_scan_bench(smoke: bool = False,
                    params_out: Optional[Dict[str, object]] = None,
                    ) -> Dict[str, object]:
     tuples, window, cells_per_dim = (120, 60, 8) if smoke else (600, 300, 24)
     queries, repeats = (10, 2) if smoke else (50, 5)
+    scale = 0.5 if smoke else 3.0
     if params_out is not None:
         params_out.update({"tuples": tuples, "window": window,
-                           "cells_per_dim": cells_per_dim,
+                           "cells_per_dim": cells_per_dim, "scale": scale,
                            "queries": queries, "repeats": repeats})
-    engine, workload, config = _build_engine(
-        missing_rate=0.3, scale=0.5 if smoke else 3.0, window=window,
-        cells_per_dim=cells_per_dim, alpha=0.5, similarity_ratio=0.5)
+    workload = generate_dataset(BENCH_DATASET, missing_rate=0.3, scale=scale,
+                                seed=BENCH_SEED)
+    config = TERiDSConfig(schema=workload.schema, keywords=workload.keywords,
+                          alpha=0.5, similarity_ratio=0.5,
+                          window_size=window, grid_cells_per_dim=cells_per_dim)
+    engine = TERiDSEngine(repository=workload.repository, config=config)
     engine.run(workload.interleaved_records()[:tuples])
     grid = engine.grid
     store = grid.enable_cell_store()
@@ -125,198 +85,74 @@ def run_scan_bench(smoke: bool = False,
                           for coordinates in grid._cells])
         return masks
 
-    identical = scalar_masks() == vectorized_masks()  # also warms both paths
-    start = now()
-    for _ in range(repeats):
-        scalar_masks()
-    scalar_seconds = now() - start
-    start = now()
-    for _ in range(repeats):
+    def vectorized_scans() -> None:
         for query in query_synopses:
             store.scan(query.coordinate_rectangle(), margin,
                        require_keyword=False)
-    vector_seconds = now() - start
 
-    scans = queries * repeats
+    identical = scalar_masks() == vectorized_masks()  # also warms both paths
+    scalar_rates: List[float] = []
+    vector_rates: List[float] = []
+    speedups: List[float] = []
+    for _ in range(repeats):
+        start = now()
+        scalar_masks()
+        scalar_seconds = now() - start
+        start = now()
+        vectorized_scans()
+        vector_seconds = now() - start
+        scalar_rates.append(queries / scalar_seconds)
+        vector_rates.append(queries / vector_seconds)
+        speedups.append(scalar_seconds / vector_seconds)
+
     return {
         "cells": grid.cell_count,
-        "scans_timed": scans,
-        "scalar_scans_per_sec": round(scans / scalar_seconds, 1),
-        "vectorized_scans_per_sec": round(scans / vector_seconds, 1),
-        "speedup": round(scalar_seconds / vector_seconds, 2),
+        "scans_timed": queries * repeats,
+        "scalar_scans_per_sec": round(statistics.median(scalar_rates), 1),
+        "vectorized_scans_per_sec": round(statistics.median(vector_rates), 1),
+        "speedup": round(statistics.median(speedups), 2),
+        "speedup_min": round(min(speedups), 2),
+        "speedup_max": round(max(speedups), 2),
         "masks_identical": identical,
     }
 
 
-# ---------------------------------------------------------------------------
-# Section 2: end-to-end ER phase (lookup + prune + refine)
-# ---------------------------------------------------------------------------
-def _time_er_phase(executor, records, **workload_knobs):
-    engine, workload, _ = _build_engine(executor=executor, **workload_knobs)
-    try:
-        start = now()
-        report = engine.run(workload.interleaved_records()[:records])
-        wall = now() - start
-        matches = sorted(
-            (pair.left_rid, pair.left_source, pair.right_rid,
-             pair.right_source, pair.probability)
-            for pair in report.matches)
-        transport = engine.ctx.transport
-        return {
-            "er_seconds": engine.ctx.timer.totals.get(STAGE_ER, 0.0),
-            "wall_seconds": wall,
-            "matches": matches,
-            "bytes_shipped": transport.bytes_shipped,
-            "deltas_routed": transport.deltas_routed,
-            "backfills": transport.backfills,
-            "shm_bytes_mapped": transport.shm_bytes_mapped,
-        }
-    finally:
-        engine.close()
-
-
-def run_er_bench(smoke: bool = False,
-                 params_out: Optional[Dict[str, object]] = None,
-                 ) -> List[Dict[str, object]]:
-    records = 80 if smoke else 500
-    knobs = dict(missing_rate=0.45, scale=0.5 if smoke else 3.0,
-                 window=40 if smoke else 250, cells_per_dim=12, alpha=0.25,
-                 similarity_ratio=0.5)
-    worker_counts = (2,) if smoke else (2, ER_TARGET_WORKERS)
-    batch = 32 if smoke else 64
-    if params_out is not None:
-        params_out.update({"records": records, "batch_size": batch, **knobs})
-
-    shm_worker_counts = (1, 2) if smoke else (1, 2, ER_TARGET_WORKERS)
-    configurations = [
-        ("serial-lookup (SerialExecutor)", 1, lambda: SerialExecutor()),
-        ("in-process vectorized", 1,
-         lambda: MicroBatchExecutor(batch_size=batch)),
-    ]
-    for workers in worker_counts:
-        configurations.append((
-            f"sharded broadcast {workers}w", workers,
-            lambda workers=workers: MicroBatchExecutor(
-                batch_size=batch, max_workers=workers,
-                pool_mode="persistent", shard_lookup=True),
-        ))
-    for workers in shm_worker_counts:
-        configurations.append((
-            f"shm-plane routed {workers}w", workers,
-            lambda workers=workers: MicroBatchExecutor(
-                batch_size=batch, max_workers=workers,
-                shard_lookup=True, shm_plane=True),
-        ))
-    broadcast_workers = max(shm_worker_counts)
-    configurations.append((
-        f"shm-plane broadcast {broadcast_workers}w", broadcast_workers,
-        lambda: MicroBatchExecutor(
-            batch_size=batch, max_workers=broadcast_workers,
-            shard_lookup=True, shm_plane=True, delta_routing=False),
-    ))
-
-    rows: List[Dict[str, object]] = []
-    reference_matches = None
-    baseline_er = None
-    for label, workers, factory in configurations:
-        timing = _time_er_phase(factory(), records, **knobs)
-        if reference_matches is None:
-            reference_matches = timing["matches"]
-            baseline_er = timing["er_seconds"]
-        rows.append({
-            "configuration": label,
-            "workers": workers,
-            "er_seconds": round(timing["er_seconds"], 3),
-            "wall_seconds": round(timing["wall_seconds"], 3),
-            "er_speedup_vs_serial": round(
-                baseline_er / timing["er_seconds"], 2)
-            if timing["er_seconds"] else float("inf"),
-            "bytes_shipped": timing["bytes_shipped"],
-            "bytes_per_worker": timing["bytes_shipped"] // workers,
-            "deltas_routed": timing["deltas_routed"],
-            "backfills": timing["backfills"],
-            "shm_bytes_mapped": timing["shm_bytes_mapped"],
-            "matches_identical": timing["matches"] == reference_matches,
-        })
-    return rows
-
-
 def main(argv=None) -> int:
     parser = bench_argument_parser(
-        "Sharded columnar ER-grid: vectorized cell scan + worker-side ER "
-        "phase")
+        "Columnar ER-grid: vectorized cell scan vs the scalar cell walk")
     args = parser.parse_args(argv)
     if not HAS_NUMPY:
-        print("numpy unavailable: the columnar grid paths cannot run")
+        print("numpy unavailable: the columnar cell scan cannot run")
         return 1
 
     scan_params: Dict[str, object] = {}
     scan_row = run_scan_bench(smoke=args.smoke, params_out=scan_params)
+    cpus = effective_cpus()
     print(f"=== vectorized cell scan vs scalar walk "
-          f"({scan_row['cells']} cells) ===")
+          f"({scan_row['cells']} cells, {cpus} effective cpu(s)) ===")
     print(format_rows([scan_row]))
-
-    er_params: Dict[str, object] = {}
-    er_rows = run_er_bench(smoke=args.smoke, params_out=er_params)
-    print(f"\n=== end-to-end ER phase (lookup + prune + refine, "
-          f"{er_params['records']} tuples) ===")
-    print(format_rows(er_rows))
-
     if not scan_row["masks_identical"]:
         print("FAIL: the vectorized cell scan changed a cell mask")
         return 1
-    if not all(row["matches_identical"] for row in er_rows):
-        print("FAIL: a sharded configuration changed the match set")
-        return 1
-
-    cpus = effective_cpus()
-    speedup_note = None
-    if cpus < ER_TARGET_WORKERS:
-        speedup_note = (
-            f"multi-worker speedup targets skipped: {cpus} effective cpu(s) "
-            f"< {ER_TARGET_WORKERS} workers (sched_getaffinity) — no "
-            f"hardware to parallelise into; byte columns remain binding")
-    sharded_speedup = max(
-        (row["er_speedup_vs_serial"] for row in er_rows
-         if row["workers"] == ER_TARGET_WORKERS), default=0.0)
     print(f"\ncell-scan speedup at {scan_row['cells']} cells: "
-          f"{scan_row['speedup']:.2f}x (target: >= {SCAN_TARGET_SPEEDUP}x "
-          f"at >= {SCAN_TARGET_CELLS} cells)")
-    print(f"ER-phase speedup, best {ER_TARGET_WORKERS}w vs serial "
-          f"lookup: {sharded_speedup:.2f}x (target: >= "
-          f"{ER_TARGET_SPEEDUP}x) on {cpus} effective cpu(s) / "
-          f"{os.cpu_count()} host cpu(s)")
-    if speedup_note is not None:
-        print(f"NOTE: {speedup_note}")
-
-    # The plane must leave nothing behind in /dev/shm, smoke or full.
-    from repro.runtime import shm_plane
-    shm_plane._sweep_stale()
-    leaked = shm_plane.active_segment_names() + shm_plane.scan_dev_shm()
-    if leaked:
-        print(f"FAIL: leaked shared-memory segments: {sorted(set(leaked))}")
-        return 1
+          f"{scan_row['speedup']:.2f}x median "
+          f"[{scan_row['speedup_min']:.2f}x, {scan_row['speedup_max']:.2f}x] "
+          f"(target: >= {SCAN_TARGET_SPEEDUP}x at >= {SCAN_TARGET_CELLS} "
+          f"cells)")
 
     if args.json is not None:
         write_bench_json(BENCH_NAME, {
             "cell_scan": {"row": scan_row, "params": scan_params,
                           "target_speedup": SCAN_TARGET_SPEEDUP,
                           "target_cells": SCAN_TARGET_CELLS},
-            "er_phase": {"rows": er_rows, "params": er_params,
-                         "target_speedup": ER_TARGET_SPEEDUP,
-                         "target_workers": ER_TARGET_WORKERS,
-                         "speedup_targets_skipped": speedup_note},
             "cpus": os.cpu_count(),
             "effective_cpus": cpus,
-            "shm_segments_leaked": 0,
             "smoke": args.smoke,
         }, path=args.json or None)
     if args.smoke:
         return 0
     ok = (scan_row["speedup"] >= SCAN_TARGET_SPEEDUP
-          and scan_row["cells"] >= SCAN_TARGET_CELLS
-          and (cpus < ER_TARGET_WORKERS
-               or sharded_speedup >= ER_TARGET_SPEEDUP))
+          and scan_row["cells"] >= SCAN_TARGET_CELLS)
     return 0 if ok else 1
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -46,6 +47,19 @@ def run_figure(benchmark, runner: Callable[..., List[Dict[str, object]]],
     print(f"\n=== {title} ===")
     print(format_rows(rows))
     return rows
+
+
+def effective_cpus() -> int:
+    """Schedulable CPUs of this process (cgroup/affinity aware).
+
+    ``os.cpu_count()`` reports the host's cores; a containerised bench can
+    be pinned to far fewer.  Every ``BENCH_*.json`` stamps this number so
+    its rows state the hardware they were measured on.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux platforms
+        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

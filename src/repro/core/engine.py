@@ -273,7 +273,7 @@ class TERiDSEngine:
         )
 
     def close(self) -> None:
-        """Release executor resources (e.g. the micro-batch process pool)."""
+        """Release executor resources (``Executor.close``)."""
         self.executor.close()
 
     # ------------------------------------------------------------------

@@ -530,25 +530,20 @@ def ensure_packed(synopsis: RecordSynopsis) -> Optional["PackedSynopsis"]:
 class PackedStore:
     """A resident, columnar store of packed synopses keyed by (rid, source).
 
-    The ER-grid (main process) and the persistent refinement workers each
-    keep one: in-window synopses occupy rows of shared ``(capacity, d, P)``
-    arrays so that a candidate list gathers into the kernel's stacked
-    matrices with one fancy-indexing operation instead of per-candidate
-    restacking.  Rows are recycled through a free list on eviction.
+    The ER-grid keeps one: in-window synopses occupy rows of shared
+    ``(capacity, d, P)`` arrays so that a candidate list gathers into the
+    kernel's stacked matrices with one fancy-indexing operation instead of
+    per-candidate restacking.  Rows are recycled through a free list on
+    eviction.
     """
 
-    def __init__(self, arena=None) -> None:
+    def __init__(self) -> None:
         self._rows: Dict[Tuple[str, str], int] = {}
         #: Fast row lookup by object identity (the hot gather path); entries
         #: are deleted on removal/overwrite so recycled ids can never alias.
         self._rows_by_id: Dict[int, int] = {}
         self._objects: List[Optional[RecordSynopsis]] = []
         self._free: List[int] = []
-        #: Arena-backed stores defer row recycling to the next epoch: a row
-        #: freed mid-batch may still be referenced by in-flight worker
-        #: orders, so it must not be rewritten until ``begin_epoch``.
-        self._pending_free: List[int] = []
-        self._arena = arena
         self._shape: Optional[Tuple[int, int]] = None
         self.dist_lb = None
         self.dist_ub = None
@@ -563,50 +558,9 @@ class PackedStore:
     def __len__(self) -> int:
         return len(self._rows)
 
-    @property
-    def arena(self):
-        """The shared-memory arena backing the arrays (``None`` in-process)."""
-        return self._arena
-
-    def begin_epoch(self) -> None:
-        """Release rows freed last epoch for reuse (arena-backed stores)."""
-        if self._pending_free:
-            self._free.extend(self._pending_free)
-            del self._pending_free[:]
-
-    def localize(self) -> None:
-        """Copy the arrays out of the arena into plain process memory.
-
-        Called before the arena's segments are unlinked so the store keeps
-        working (e.g. an engine that continues serially after its pool
-        closed).
-        """
-        if self._arena is None:
-            return
-        for name in ("dist_lb", "dist_ub", "dist_exp", "tok_min", "tok_max",
-                     "may_kw", "limits", "totals"):
-            array = getattr(self, name)
-            if array is not None:
-                setattr(self, name, _np.array(array))
-        self._arena = None
-        self.begin_epoch()
-
     def _grow(self, capacity: int) -> None:
         dimensionality, pivot_width = self._shape  # type: ignore[misc]
-        if self._arena is not None:
-            arrays = self._arena.rebuild([
-                ("dist_lb", (capacity, dimensionality, pivot_width), "f8"),
-                ("dist_ub", (capacity, dimensionality, pivot_width), "f8"),
-                ("dist_exp", (capacity, dimensionality, pivot_width), "f8"),
-                ("tok_min", (capacity, dimensionality), "f8"),
-                ("tok_max", (capacity, dimensionality), "f8"),
-                ("totals", (capacity, 3), "f8"),
-                ("may_kw", (capacity,), "?"),
-                ("limits", (capacity,), "i8"),
-            ])
-            for name, array in arrays.items():
-                setattr(self, name, array)
-            return
+
         def expand(array, shape):
             fresh = _np.zeros(shape)
             if array is not None:
@@ -649,11 +603,9 @@ class PackedStore:
             if self._free:
                 row = self._free.pop()
             else:
-                # Allocated rows are exactly 0 .. len(rows) + len(free) +
-                # len(pending_free) - 1; with an empty free list the next
-                # fresh row is past all of them (pending rows are still
-                # live for in-flight readers and must not be reused yet).
-                row = len(self._rows) + len(self._pending_free)
+                # Allocated rows are exactly 0 .. len(rows) + len(free) - 1;
+                # with an empty free list the next fresh row is past them.
+                row = len(self._rows)
                 if row >= self.may_kw.shape[0]:
                     self._grow(max(64, 2 * self.may_kw.shape[0]))
             self._rows[key] = row
@@ -684,10 +636,7 @@ class PackedStore:
         if previous is not None:
             self._rows_by_id.pop(id(previous), None)
         self._objects[row] = None
-        if self._arena is not None:
-            self._pending_free.append(row)
-        else:
-            self._free.append(row)
+        self._free.append(row)
         return True
 
     def row_for(self, synopsis: RecordSynopsis) -> Optional[int]:
@@ -793,27 +742,11 @@ def batch_prune(query: RecordSynopsis,
     """
     if _np is None:
         raise RuntimeError("numpy is required for batch_prune")
-    return batch_prune_stacked(ensure_packed(query),
-                               _stack_candidates(candidates, store),
-                               len(candidates), keywords, gamma, alpha,
-                               use_topic=use_topic,
-                               use_similarity=use_similarity,
-                               use_probability=use_probability)
-
-
-def batch_prune_stacked(query_packed: "PackedSynopsis", stacked, count: int,
-                        keywords: FrozenSet[str], gamma: float, alpha: float,
-                        use_topic: bool = True, use_similarity: bool = True,
-                        use_probability: bool = True):
-    """The :func:`batch_prune` cascade over pre-stacked kernel inputs.
-
-    ``stacked`` is the 7-tuple :func:`_stack_candidates` produces — which a
-    shared-memory worker gathers directly from the mapped packed arena with
-    the identical fancy-indexing copy, so both callers feed the kernel the
-    same bytes.
-    """
+    query_packed = ensure_packed(query)
+    count = len(candidates)
     (cand_lb, cand_ub, cand_tok_min, cand_tok_max,
-     cand_may_kw, cand_limits, cand_totals) = stacked
+     cand_may_kw, cand_limits, cand_totals) = _stack_candidates(candidates,
+                                                                store)
 
     alive = _np.ones(count, dtype=bool)
     pruned_topic = 0

@@ -75,24 +75,6 @@ class AdaptiveBatcher:
         """Number of elements waiting for a trigger."""
         return len(self._pending)
 
-    def retarget(self, policy: BatchPolicy) -> BatchPolicy:
-        """Swap the trigger policy in place; returns the previous one.
-
-        Safe at any point between emits: the policy is only read when
-        triggers are checked (``add`` / ``poll`` / ``time_until_due``), so
-        already-pending elements simply meet the new thresholds — a
-        shrunken ``max_batch`` emits on the next ``add``, a longer
-        ``max_delay`` extends the current deadline.  This is the ingest-side
-        *act* hook of the runtime controller
-        (:mod:`repro.runtime.controller`).
-        """
-        if not isinstance(policy, BatchPolicy):
-            raise TypeError(f"retarget expects a BatchPolicy, "
-                            f"got {type(policy).__name__}")
-        previous = self.policy
-        self.policy = policy
-        return previous
-
     def pending_elements(self) -> List[StreamElement]:
         """Snapshot of the waiting elements (checkpoint serialisation)."""
         return list(self._pending)

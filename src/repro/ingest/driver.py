@@ -137,16 +137,6 @@ class IngestDriver:
     on_batch:
         Optional callback ``on_batch(driver, records)`` invoked after each
         processed batch (tests, live metrics, custom checkpoint triggers).
-    controller:
-        Optional :class:`~repro.runtime.controller.RuntimeController` to
-        run between batches.  The driver adopts it: the controller's
-        ``batcher`` is bound to the driver's live batcher (so batch-policy
-        retargets act on the real trigger policy) and its
-        :meth:`~repro.runtime.controller.RuntimeController.after_batch` is
-        invoked after each processed batch — a quiescent point even with
-        ``process_in_executor`` (the batch has fully returned), so
-        reconfiguration tears pools down at a safe boundary.  Runs after
-        ``on_batch``.
     collect_matches:
         Accumulate every discovered pair on ``driver.matches`` (the replay
         / testing default).  Disable for indefinitely running drivers —
@@ -165,7 +155,6 @@ class IngestDriver:
                  checkpoint_path=None,
                  checkpoint_every_batches: Optional[int] = None,
                  on_batch: Optional[Callable] = None,
-                 controller=None,
                  collect_matches: bool = True) -> None:
         if not sources:
             raise ValueError("IngestDriver needs at least one source")
@@ -210,17 +199,6 @@ class IngestDriver:
         self._clock = WatermarkClock(lateness=lateness, late_policy=late_policy)
         self._batcher = AdaptiveBatcher(self.policy, self.stats,
                                         queue_depth=self._queue_depth)
-        self.controller = controller
-        if controller is not None:
-            if controller.engine is not engine:
-                raise ValueError("controller is attached to a different "
-                                 "engine than this driver feeds")
-            # Bind the controller to the live batcher so retargets act on
-            # the real trigger policy (a controller built standalone has no
-            # batcher yet).
-            controller.batcher = self._batcher
-            if not controller.state.get("target_max_batch"):
-                controller.state["target_max_batch"] = self.policy.max_batch
         self._event_window = (TimeBasedWindow(duration=event_time_window)
                               if event_time_window is not None else None)
         self._max_event = -math.inf
@@ -564,10 +542,6 @@ class IngestDriver:
             self._expire_by_watermark(batch)
         if self.on_batch is not None:
             self.on_batch(self, records)
-        if self.controller is not None:
-            # A quiescent point even off-loop: the batch above has fully
-            # returned, so pool teardown/re-seed here is bit-identity safe.
-            self.controller.after_batch(self, records)
         if (self.checkpoint_every_batches is not None
                 and self.batches_processed % self.checkpoint_every_batches == 0):
             # Deferred to the mux loop's quiescent point — mid-``_pump``,

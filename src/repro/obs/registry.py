@@ -11,7 +11,7 @@ the runtime lands in.  Three metric kinds, all label-aware:
   bucket-interpolation error Prometheus-side quantile estimation carries.
 
 The existing stat dataclasses (``PruningStats``, ``ImputationStats``,
-``IngestStats``, ``TransportStats``, ``QueryStats``) keep their public APIs
+``IngestStats``, ``QueryStats``) keep their public APIs
 and checkpoint formats untouched: they are *bound* onto the registry with
 collect-time callbacks (:meth:`MetricsRegistry.bind`), so the registry
 reads them only when a snapshot or a Prometheus render is requested —
@@ -319,8 +319,8 @@ class MetricsRegistry:
 
         Re-binding the same ``(name, labels)`` *replaces* the previous
         getter instead of accumulating a duplicate sample row: re-enabling
-        telemetry against a shared registry (e.g. after a controller pool
-        rebuild) must not double every bound series.
+        telemetry against a shared registry must not double every bound
+        series.
         """
         labels = dict(labels or {})
         family = self._family(name, help, kind, tuple(labels))

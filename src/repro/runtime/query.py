@@ -23,7 +23,7 @@ probabilities accumulate in the same order — which makes the returned
 cluster the connected component of the query record under the eager match
 edges: bit-identical to the transitive closure of ``ES`` restricted to the
 query's component (pinned by ``tests/test_query_time.py`` across the
-serial, sharded and shm-plane configurations).
+serial and micro-batch executors).
 
 **Result cache.**  Clusters land in an LRU cache keyed by ``(rid, source,
 topic signature, gamma)``.  Each entry records the grid *regions* it
@@ -100,11 +100,9 @@ class _CacheEntry:
 class QueryResolver:
     """On-demand collective resolution with a region-invalidated LRU cache.
 
-    Runs main-side against the live grid whatever executor drives the
-    eager path — the serial reference, the vectorized micro-batch executor,
-    the sharded lookup pool (whose main grid is thin: no packed/cell
-    stores) and the shm-plane all leave the main process a complete logical
-    grid, which is all the resolver reads.
+    Runs against the live grid whatever executor drives the eager path —
+    the serial reference and the micro-batch executor both maintain the
+    complete logical grid, which is all the resolver reads.
 
     Parameters
     ----------

@@ -168,3 +168,50 @@ def test_restore_clears_previous_online_state(health_repository, health_config):
     assert engine.timestamps_processed == 0
     assert len(engine.result_set) == 0
     assert all(len(window) == 0 for window in engine.windows.values())
+
+
+def test_restore_accepts_legacy_transport_and_controller_keys(tmp_path):
+    """Checkpoints written by older versions carry ``transport_stats`` and
+    ``controller`` sections; restore ignores them and resumes exactly."""
+    dataset, scale, seed, window = "citations", 0.5, 7, 40
+    split = 60
+
+    reference_workload = build_workload(dataset, scale, seed)
+    reference = _fresh(reference_workload, window,
+                       executor=MicroBatchExecutor(batch_size=16))
+    reference_report = reference.run(reference_workload.interleaved_records())
+
+    workload = build_workload(dataset, scale, seed)
+    records = list(workload.interleaved_records())
+    first = _fresh(workload, window, executor=MicroBatchExecutor(batch_size=16))
+    first_matches = []
+    for start in range(0, split, 16):
+        first_matches.extend(first.process_batch(records[start:min(start + 16,
+                                                                   split)]))
+    state = first.checkpoint()
+    assert "transport_stats" not in state
+    assert "controller" not in state
+    state["transport_stats"] = {
+        "batches": 4, "bytes_shipped": 52431, "synopses_shipped": 310,
+        "orders_shipped": 60, "evictions_shipped": 12, "deltas_routed": 41,
+        "backfills": 3, "shm_bytes_mapped": 98304}
+    state["controller"] = {
+        "mode": "active", "evaluations": 4, "target_workers": 2,
+        "target_max_batch": 64, "cooldown_remaining": 1,
+        "last_p95_seconds": 0.012, "decisions": {"retarget_up": 2}}
+    path = tmp_path / "legacy.ckpt.json"
+    save_checkpoint(state, path)
+
+    resumed = _fresh(workload, window,
+                     executor=MicroBatchExecutor(batch_size=16))
+    resumed.load_checkpoint(path)
+    assert resumed.timestamps_processed == split
+    resumed_matches = list(first_matches)
+    for start in range(split, len(records), 16):
+        resumed_matches.extend(resumed.process_batch(records[start:start + 16]))
+    resumed.close()
+
+    assert (canonical_matches(resumed_matches)
+            == canonical_matches(reference_report.matches))
+    assert (canonical_matches(resumed.current_matches())
+            == canonical_matches(reference.current_matches()))

@@ -1,41 +1,19 @@
-"""Tests for the sharded columnar ER-grid subsystem.
+"""Tests for the columnar ER-grid cell store.
 
-The heavyweight guarantees:
-
-* **Cell-scan identity** — the vectorized ``batch_cell_scan`` lookup
-  (columnar :class:`CellStore`) returns bit-identical candidate lists and
-  examination counters to the scalar cell walk;
-* **Shard determinism** — ``shard_lookup`` at any shard count (1, 2, 4, 8)
-  and either pool mode reproduces the serial executor's matches, result
-  set and every pruning / grid counter exactly (the worker replicas are
-  full grids, so the cell aggregates — and with them the candidate sets —
-  cannot drift from the serial walk);
-* **Self-healing residency** — a checkpoint restored mid-stream (into a
-  fresh engine or into the same engine whose pool holds stale replicas)
-  converges to the uninterrupted run's final state.
+The heavyweight guarantee is **cell-scan identity**: the vectorized
+``batch_cell_scan`` lookup (columnar :class:`CellStore`) returns
+bit-identical candidate lists and examination counters to the scalar cell
+walk, and the store tracks exactly the live cells.
 """
 
-import json
-from concurrent.futures import Future
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from golden_utils import (
-    GOLDEN_WORKLOADS,
-    build_config,
-    build_workload,
-    canonical_matches,
-    golden_path,
-    run_reference,
-)
+from golden_utils import canonical_matches
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
 from repro.core.pruning import HAS_NUMPY
 from repro.datasets.synthetic import generate_dataset
 from repro.indexes.er_grid import ERGrid
-from repro.runtime import MicroBatchExecutor, SerialExecutor
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
 
@@ -66,16 +44,6 @@ def _observables(engine, matches):
         },
         "grid": (engine.grid.cells_examined, engine.grid.tuples_examined),
     }
-
-
-def _run(workload, config, executor):
-    engine = TERiDSEngine(repository=workload.repository, config=config,
-                          executor=executor)
-    try:
-        report = engine.run(workload.interleaved_records())
-        return _observables(engine, report.matches)
-    finally:
-        engine.close()
 
 
 # ---------------------------------------------------------------------------
@@ -143,193 +111,3 @@ def test_cell_store_recycles_rows_on_cell_eviction(health_pivots,
     # Rows are recycled, not leaked: re-inserting reuses the free list.
     grid.insert(first)
     assert len(store) == rows_with_one
-
-
-# ---------------------------------------------------------------------------
-# Sharded lookup: golden bit-identity at 1 / 2 / 4 shards, both pool modes
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("pool_mode", ["persistent", "per-batch"])
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_sharded_lookup_matches_seed_golden(workers, pool_mode):
-    dataset, scale, seed, window = GOLDEN_WORKLOADS[0]
-    golden = json.loads(golden_path(dataset).read_text())["reference"]
-    workload = build_workload(dataset, scale, seed)
-    config = build_config(workload, window)
-    executor = MicroBatchExecutor(batch_size=16, max_workers=workers,
-                                  pool_mode=pool_mode, shard_lookup=True)
-    try:
-        got = run_reference(
-            lambda **kwargs: TERiDSEngine(executor=executor, **kwargs),
-            workload, config)
-    finally:
-        executor.close()
-    assert got == golden
-
-
-def test_shard_lookup_requires_max_workers():
-    with pytest.raises(ValueError, match="shard_lookup"):
-        MicroBatchExecutor(shard_lookup=True)
-
-
-# ---------------------------------------------------------------------------
-# Shard determinism property: any region count, bit-identical to serial
-# ---------------------------------------------------------------------------
-class _InlinePool:
-    """A ``ProcessPoolExecutor`` stand-in that runs submissions inline.
-
-    Lets the hypothesis property exercise the full per-batch sharded code
-    path (snapshot shipping, op replay, shard routing, counter merging)
-    without the wall-clock cost of spawning processes per example.
-    """
-
-    def submit(self, fn, *args, **kwargs):
-        future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
-
-    def shutdown(self, wait=True):
-        pass
-
-
-_PROPERTY_WORKLOAD = _small_workload()
-_PROPERTY_SERIAL = _run(_PROPERTY_WORKLOAD, _small_config(_PROPERTY_WORKLOAD),
-                        SerialExecutor())
-
-
-@given(regions=st.sampled_from([1, 2, 4, 8]),
-       batch_size=st.integers(min_value=1, max_value=9))
-@settings(max_examples=12, deadline=None)
-def test_any_shard_count_is_bit_identical_to_serial(regions, batch_size):
-    executor = MicroBatchExecutor(batch_size=batch_size, max_workers=regions,
-                                  pool_mode="per-batch", shard_lookup=True)
-    executor._pool = _InlinePool()
-    got = _run(_PROPERTY_WORKLOAD, _small_config(_PROPERTY_WORKLOAD),
-               executor)
-    assert got == _PROPERTY_SERIAL
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint / restore with sharded lookup (self-healing residency)
-# ---------------------------------------------------------------------------
-def _sharded_engine(workload, config, workers=2):
-    return TERiDSEngine(
-        repository=workload.repository, config=config,
-        executor=MicroBatchExecutor(batch_size=8, max_workers=workers,
-                                    pool_mode="persistent",
-                                    shard_lookup=True))
-
-
-def test_sharded_checkpoint_restore_mid_stream():
-    """A mid-stream snapshot restored into a fresh sharded engine resumes
-    to the uninterrupted run's exact final state."""
-    workload = _small_workload()
-    config = _small_config(workload)
-    records = list(workload.interleaved_records())
-    half = len(records) // 2
-
-    uninterrupted = _run(workload, config, SerialExecutor())
-
-    first = _sharded_engine(workload, config)
-    try:
-        matches = list(first.process_batch(records[:half]))
-        state = first.checkpoint()
-    finally:
-        first.close()
-
-    resumed = _sharded_engine(workload, config)
-    try:
-        resumed.restore_checkpoint(state)
-        matches.extend(resumed.process_batch(records[half:]))
-        got = _observables(resumed, matches)
-    finally:
-        resumed.close()
-    assert got == uninterrupted
-
-
-def test_sharded_pool_self_heals_after_restore_into_same_engine():
-    """Restoring into the *same* engine leaves the pool holding stale
-    replicas; the next batch's reconciliation must repair them."""
-    workload = _small_workload()
-    config = _small_config(workload)
-    records = list(workload.interleaved_records())
-    half = len(records) // 2
-
-    uninterrupted = _run(workload, config, SerialExecutor())
-
-    engine = _sharded_engine(workload, config)
-    try:
-        matches = list(engine.process_batch(records[:half]))
-        state = engine.checkpoint()
-        # Keep running past the snapshot, then rewind the SAME engine: the
-        # worker replicas now hold tuples the restored grid does not (and
-        # the restored window synopses are fresh objects).
-        engine.process_batch(records[half:])
-        engine.restore_checkpoint(state)
-        matches.extend(engine.process_batch(records[half:]))
-        got = _observables(engine, matches)
-    finally:
-        engine.close()
-    assert got == uninterrupted
-
-
-def test_transport_stats_ride_in_checkpoints():
-    workload = _small_workload()
-    config = _small_config(workload)
-    records = list(workload.interleaved_records())
-    engine = _sharded_engine(workload, config)
-    try:
-        engine.process_batch(records)
-        assert engine.ctx.transport.bytes_shipped > 0
-        state = engine.checkpoint()
-        shipped = state["transport_stats"]
-        assert shipped == engine.ctx.transport.as_dict()
-        assert shipped["bytes_shipped"] > 0
-        assert shipped["orders_shipped"] == len(records)
-
-        resumed = TERiDSEngine(repository=workload.repository, config=config)
-        resumed.restore_checkpoint(state)
-        assert resumed.ctx.transport.as_dict() == shipped
-    finally:
-        engine.close()
-
-
-def test_reconciliation_sweep_skipped_in_steady_state():
-    """Steady-state batches must not pay the O(window) identity sweep —
-    and an out-of-band grid mutation must bring it back (self-healing),
-    with the continued stream still matching a serial engine fed the
-    same sequence."""
-    workload = _small_workload()
-    config = _small_config(workload)
-    records = list(workload.interleaved_records())
-
-    engine = _sharded_engine(workload, config)
-    serial = TERiDSEngine(repository=workload.repository, config=config,
-                          executor=SerialExecutor())
-    try:
-        engine.process_batch(records[:24])
-        serial.process_batch(records[:24])
-
-        grid = engine.ctx.grid
-        sweeps = []
-        original = grid.synopsis_items
-        grid.synopsis_items = lambda: sweeps.append(1) or original()
-
-        engine.process_batch(records[24:32])
-        serial.process_batch(records[24:32])
-        assert not sweeps  # replicas already in lock-step: no sweep
-
-        # Out-of-band retraction (the event-time expiry path) bumps the
-        # grid's mutation count; the next batch must sweep and repair.
-        victim = grid.synopses()[0]
-        engine.pipeline.maintenance.retract([victim])
-        serial.pipeline.maintenance.retract([victim])
-        engine.process_batch(records[32:40])
-        serial.process_batch(records[32:40])
-        assert sweeps
-
-        assert (canonical_matches(engine.current_matches())
-                == canonical_matches(serial.current_matches()))
-        assert vars(engine.pruning.stats) == vars(serial.pruning.stats)
-    finally:
-        engine.close()
-        serial.close()

@@ -5,11 +5,10 @@ The heavyweight guarantees:
 * **Golden bit-identity** — enabling the full telemetry plane (metrics,
   tracing, profiling) perturbs *nothing* observable: match sets, the
   Figure-4 ``PruningStats`` counters and the index ``nodes_visited``
-  totals are bit-identical on vs off across the serial, sharded and
-  shm-plane executors at 1, 2 and 4 shards;
-* **Trace stitching** — one batch trace stitches the main-process stage
-  spans and the pooled worker spans (both ``ShardedERPool`` and
-  ``ShmShardedERPool``) into a single exported tree;
+  totals are bit-identical on vs off across the serial and micro-batch
+  executors;
+* **Trace structure** — one batch trace holds the pipeline stage spans in
+  a single exported tree;
 * **Exposition** — the Prometheus renderer emits parseable 0.0.4 text
   (monotone cumulative buckets ending at ``+Inf``, escaped labels,
   ``_total`` counter suffix);
@@ -52,11 +51,8 @@ from repro.obs import (
 )
 from repro.runtime import MicroBatchExecutor, QueryResolver, SerialExecutor
 from repro.runtime.context import INGEST_SERIES_WINDOW, IngestStats
-from repro.runtime.shm_plane import HAS_SHM
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
-needs_shm = pytest.mark.skipif(
-    not HAS_SHM, reason="requires numpy and multiprocessing.shared_memory")
 
 PRUNING_FIELDS = (
     "pairs_considered", "pruned_by_topic", "pruned_by_similarity",
@@ -239,21 +235,6 @@ class TestTracing:
         assert outer["children"][0]["labels"] == {"stage": "er"}
         assert root["duration"] >= outer["duration"] >= 0.0
 
-    def test_worker_spans_anchor_under_open_span(self):
-        trace = BatchTrace("batch-2", 2, 4)
-        with trace.span("entity_resolution"):
-            trace.add_worker_spans("sharded_er", 1, [
-                ("replay_lookup", 0.0, 0.25), ("refine", 0.25, 0.5)])
-        trace.finish()
-        er = trace.to_dict()["spans"]["children"][0]
-        names = [child["name"] for child in er["children"]]
-        assert names == ["replay_lookup", "refine"]
-        for child in er["children"]:
-            assert child["labels"] == {"pool": "sharded_er", "shard": "1"}
-        # Relative ordering of the shipped rows is preserved.
-        lookup, refine = er["children"]
-        assert refine["start"] - lookup["start"] == pytest.approx(0.25)
-
     def test_tracer_ring_is_bounded(self):
         tracer = Tracer(ring=2)
         for seq in range(4):
@@ -358,7 +339,7 @@ class TestIngestStatsCompatibility:
 
 
 # ---------------------------------------------------------------------------
-# Golden bit-identity: telemetry on vs off, across executors and shards
+# Golden bit-identity: telemetry on vs off, across executors
 # ---------------------------------------------------------------------------
 
 def _observables(engine, report):
@@ -394,23 +375,10 @@ def _run_workload(executor_factory, telemetry):
         executor.close()
 
 
-def _shm_inline_factory(workers):
-    def factory():
-        executor = MicroBatchExecutor(batch_size=8, max_workers=workers,
-                                      shard_lookup=True, shm_plane=True,
-                                      delta_routing=True)
-        executor._shm_inline = True
-        return executor
-    return factory
-
-
 IDENTITY_EXECUTORS = [
     pytest.param(SerialExecutor, id="serial"),
     pytest.param(lambda: MicroBatchExecutor(batch_size=8), id="vectorized",
                  marks=needs_numpy),
-    pytest.param(_shm_inline_factory(1), id="shm-1shard", marks=needs_shm),
-    pytest.param(_shm_inline_factory(2), id="shm-2shard", marks=needs_shm),
-    pytest.param(_shm_inline_factory(4), id="shm-4shard", marks=needs_shm),
 ]
 
 
@@ -421,18 +389,9 @@ class TestGoldenBitIdentity:
         traced = _run_workload(executor_factory, telemetry=True)
         assert traced == baseline
 
-    @needs_numpy
-    def test_real_sharded_pool_identical(self):
-        """Telemetry on/off over the real process-backed ShardedERPool."""
-        factory = lambda: MicroBatchExecutor(batch_size=8, max_workers=2,
-                                             shard_lookup=True)
-        baseline = _run_workload(factory, telemetry=False)
-        traced = _run_workload(factory, telemetry=True)
-        assert traced == baseline
-
 
 # ---------------------------------------------------------------------------
-# Trace stitching across pool boundaries (the acceptance scenario)
+# Trace structure
 # ---------------------------------------------------------------------------
 
 def _span_rows(root, depth=0):
@@ -456,52 +415,6 @@ def _run_traced(executor):
 
 
 class TestTraceStitching:
-    @needs_numpy
-    def test_sharded_pool_spans_stitch_into_batch_tree(self):
-        executor = MicroBatchExecutor(batch_size=16, max_workers=2,
-                                      shard_lookup=True)
-        engine, traces = _run_traced(executor)
-        stitched = self._assert_stitched(traces, pool="sharded_er",
-                                         worker_stages={"reconcile",
-                                                        "replay_lookup",
-                                                        "refine"})
-        assert stitched  # at least one batch carried pooled work
-
-    @needs_shm
-    def test_shm_pool_spans_stitch_into_batch_tree(self):
-        executor = MicroBatchExecutor(batch_size=16, max_workers=2,
-                                      shard_lookup=True, shm_plane=True,
-                                      delta_routing=True)
-        executor._shm_inline = True
-        engine, traces = _run_traced(executor)
-        stitched = self._assert_stitched(traces, pool="shm_sharded_er",
-                                         worker_stages={"replay_lookup",
-                                                        "refine",
-                                                        "backfill"})
-        assert stitched
-
-    def _assert_stitched(self, traces, pool, worker_stages):
-        stitched = 0
-        for trace in traces:
-            rows = list(_span_rows(trace["spans"]))
-            main_stages = {name for depth, name, labels in rows
-                           if not labels.get("pool")}
-            pooled = [(name, labels) for _, name, labels in rows
-                      if labels.get("pool") == pool]
-            if not pooled:
-                continue
-            stitched += 1
-            # One tree holds both the main-process pipeline stages and the
-            # worker-side spans shipped back across the pool boundary.
-            assert {"batch", "entity_resolution"} <= main_stages
-            assert {"rule_selection", "imputation"} <= main_stages
-            for name, labels in pooled:
-                assert name in worker_stages
-                assert labels["shard"].isdigit()
-            shards = {labels["shard"] for _, labels in pooled}
-            assert len(shards) >= 1
-        return stitched
-
     def test_serial_pipeline_spans(self):
         engine, traces = _run_traced(SerialExecutor())
         rows = list(_span_rows(traces[-1]["spans"]))
@@ -658,3 +571,26 @@ class TestEngineFacade:
     def test_disable_telemetry_restores_null_plane(self, engine):
         engine.disable_telemetry()
         assert engine.ctx.telemetry is NULL_TELEMETRY
+
+
+def test_reenabling_telemetry_does_not_duplicate_bound_metrics():
+    """Re-binding the same registry (a telemetry toggle) must replace the
+    bound getters, not stack duplicates."""
+    workload = generate_dataset("citations", missing_rate=0.3, scale=0.3,
+                                seed=11)
+    config = TERiDSConfig(schema=workload.schema, keywords=workload.keywords,
+                          alpha=0.5, similarity_ratio=0.5, window_size=20)
+    engine = TERiDSEngine(repository=workload.repository, config=config)
+    try:
+        registry = MetricsRegistry()
+        engine.enable_telemetry(registry=registry)
+        engine.enable_telemetry(registry=registry)
+        text = engine.render_metrics()
+        sample_lines = [line for line in text.splitlines()
+                        if line.startswith("terids_batch_seq ")]
+        assert len(sample_lines) == 1
+        multi_lines = [line for line in text.splitlines()
+                       if line.startswith("terids_ingest_batches_total")]
+        assert len(multi_lines) == len(set(multi_lines))
+    finally:
+        engine.close()

@@ -1,11 +1,10 @@
-"""Differential tests: the vectorized pruning kernel and the persistent pool.
+"""Differential tests: the vectorized pruning kernel against the scalar cascade.
 
 The contract under test is *identity*, not just safety: the columnar
 :func:`~repro.core.pruning.batch_prune` kernel must reproduce the scalar
 cascade's survivor mask, per-strategy pruned counts, verdicts and
 probabilities bit-for-bit, for arbitrary synopses (hypothesis) and on the
-golden workloads (both executors, in-process and both pooled refinement
-modes).
+golden workloads (both executors).
 """
 
 import json
@@ -20,7 +19,6 @@ from golden_utils import (
     GOLDEN_WORKLOADS,
     build_config,
     build_workload,
-    canonical_matches,
     golden_path,
     run_reference,
 )
@@ -40,8 +38,6 @@ from repro.core.tuples import ImputedRecord, Record, Schema
 from repro.imputation.repository import DataRepository
 from repro.indexes.pivots import PivotSelectionConfig, select_pivots
 from repro.runtime import (
-    POOL_PER_BATCH,
-    POOL_PERSISTENT,
     MicroBatchExecutor,
     SerialExecutor,
     evaluate_candidates,
@@ -246,7 +242,7 @@ def test_evaluate_candidates_verdicts_and_stats_match_scalar():
 
 
 # ---------------------------------------------------------------------------
-# Golden regression: vectorized kernel on, every refinement mode
+# Golden regression: vectorized kernel on
 # ---------------------------------------------------------------------------
 def _golden(dataset):
     return json.loads(golden_path(dataset).read_text())["reference"]
@@ -259,188 +255,10 @@ def test_vectorized_in_process_matches_seed_goldens(dataset, scale, seed,
     config = build_config(workload, window)
     got = run_reference(
         lambda **kwargs: TERiDSEngine(
-            executor=MicroBatchExecutor(batch_size=16, vectorized=True),
+            executor=MicroBatchExecutor(batch_size=16),
             **kwargs),
         workload, config)
     assert got == _golden(dataset)
-
-
-@pytest.mark.parametrize("pool_mode", [POOL_PERSISTENT, POOL_PER_BATCH])
-def test_vectorized_pooled_matches_seed_golden(pool_mode):
-    dataset, scale, seed, window = GOLDEN_WORKLOADS[0]
-    workload = build_workload(dataset, scale, seed)
-    config = build_config(workload, window)
-    executor = MicroBatchExecutor(batch_size=16, max_workers=2,
-                                  vectorized=True, pool_mode=pool_mode)
-    try:
-        got = run_reference(
-            lambda **kwargs: TERiDSEngine(executor=executor, **kwargs),
-            workload, config)
-    finally:
-        executor.close()
-    assert got == _golden(dataset)
-
-
-def test_scalar_pooled_matches_seed_golden():
-    """The persistent pool is verdict-identical with the kernel off too."""
-    dataset, scale, seed, window = GOLDEN_WORKLOADS[0]
-    workload = build_workload(dataset, scale, seed)
-    config = build_config(workload, window)
-    executor = MicroBatchExecutor(batch_size=16, max_workers=2,
-                                  vectorized=False)
-    try:
-        got = run_reference(
-            lambda **kwargs: TERiDSEngine(executor=executor, **kwargs),
-            workload, config)
-    finally:
-        executor.close()
-    assert got == _golden(dataset)
-
-
-# ---------------------------------------------------------------------------
-# Persistent pool: transport accounting + self-healing residency
-# ---------------------------------------------------------------------------
-def _transport_run(pool_mode, batch_size=16):
-    workload = build_workload("citations", 0.5, 7)
-    config = build_config(workload, 40)
-    executor = MicroBatchExecutor(batch_size=batch_size, max_workers=2,
-                                  pool_mode=pool_mode)
-    engine = TERiDSEngine(repository=workload.repository, config=config,
-                          executor=executor)
-    report = engine.run(workload.interleaved_records())
-    transport = engine.ctx.transport
-    engine.close()
-    return sorted(pair.key() for pair in report.matches), transport
-
-
-def test_persistent_pool_ships_fewer_bytes_than_per_batch():
-    per_batch_matches, per_batch = _transport_run(POOL_PER_BATCH)
-    persistent_matches, persistent = _transport_run(POOL_PERSISTENT)
-    assert persistent_matches == per_batch_matches
-    assert per_batch.batches == persistent.batches > 0
-    # Every batch re-ships the window in per-batch mode; the resident-store
-    # protocol ships each synopsis roughly once.
-    assert persistent.synopses_shipped < per_batch.synopses_shipped / 4
-    assert (persistent.steady_state_bytes()
-            < per_batch.steady_state_bytes() / 2)
-
-
-def test_persistent_pool_repairs_residency_after_restore(tmp_path):
-    """A restored engine re-ships re-built window synopses transparently."""
-    dataset, scale, seed, window = "citations", 0.5, 7, 40
-    split = 60
-
-    reference_workload = build_workload(dataset, scale, seed)
-    reference = TERiDSEngine(repository=reference_workload.repository,
-                             config=build_config(reference_workload, window))
-    reference_report = reference.run(reference_workload.interleaved_records())
-
-    workload = build_workload(dataset, scale, seed)
-    records = list(workload.interleaved_records())
-    first = TERiDSEngine(repository=workload.repository,
-                         config=build_config(workload, window))
-    matches = []
-    for record in records[:split]:
-        matches.extend(first.process(record))
-    path = tmp_path / "persistent.ckpt.json"
-    first.save_checkpoint(path)
-
-    executor = MicroBatchExecutor(batch_size=16, max_workers=2,
-                                  pool_mode=POOL_PERSISTENT)
-    resumed = TERiDSEngine(repository=workload.repository,
-                           config=build_config(workload, window),
-                           executor=executor)
-    resumed.load_checkpoint(path)
-    matches.extend(resumed.process_batch(records[split:]))
-    resumed.close()
-    assert (canonical_matches(matches)
-            == canonical_matches(reference_report.matches))
-
-
-def test_persistent_pool_matches_in_process_on_unvalidatable_record():
-    """Worker-side rebuild must mirror pickle, not re-run validation.
-
-    A record whose candidate map was emptied after construction is handled
-    by ``RecordSynopsis.build`` everywhere in-process; the delta protocol
-    rebuilds the imputed record in the worker and must tolerate (and agree
-    on) the same state instead of dying in ``ImputedRecord.__init__``.
-    """
-    from repro.core.pruning import PruningStats as Stats
-    from repro.runtime import PersistentRefinementPool, TupleTask
-
-    record = Record(rid="q1", values={"symptom": "weight loss",
-                                      "diagnosis": None}, source="s0")
-    imputed = ImputedRecord(base=record, schema=SCHEMA,
-                            candidates={"diagnosis": {"diabetes": 1.0}})
-    imputed.candidates["diagnosis"] = {}
-    query = RecordSynopsis.build(imputed, PIVOTS, KEYWORDS)
-    candidates = [_make_synopsis(index, "weight loss blurred vision",
-                                 "diabetes", None) for index in (1, 2, 3)]
-
-    expected_stats = Stats()
-    expected = evaluate_candidates(
-        query, candidates, keywords=KEYWORDS, gamma=1.0, alpha=0.3,
-        use_topic=True, use_similarity=True, use_probability=True,
-        use_instance=True, stats=expected_stats, vectorized=True)
-
-    task = TupleTask(record=record)
-    task.synopsis = query
-    task.candidates = candidates
-    pool = PersistentRefinementPool(workers=1, params={
-        "pivots": PIVOTS, "keywords": KEYWORDS, "gamma": 1.0, "alpha": 0.3,
-        "use_topic": True, "use_similarity": True, "use_probability": True,
-        "use_instance": True, "vectorized": True})
-    try:
-        verdicts, stats = pool.evaluate_batch([task], [(0, 0)], [])
-    finally:
-        pool.close()
-    assert verdicts[0] == expected
-    assert stats == expected_stats
-
-
-def test_persistent_pool_rebinds_when_executor_is_reused():
-    """Handing the executor to a second engine must not keep stale params.
-
-    The pool freezes the pivot table and thresholds at creation; a second
-    engine (different config/repository) must get a fresh pool, or its
-    verdicts would silently use the first operator's parameters.
-    """
-    executor = MicroBatchExecutor(batch_size=16, max_workers=2)
-
-    workload = build_workload("citations", 0.4, 7)
-    first = TERiDSEngine(repository=workload.repository,
-                         config=build_config(workload, 30), executor=executor)
-    first.run(list(workload.interleaved_records())[:60])
-    first_pool = executor._persistent_pool
-    assert first_pool is not None
-
-    dataset, scale, seed, window = GOLDEN_WORKLOADS[1]
-    golden_workload = build_workload(dataset, scale, seed)
-    config = build_config(golden_workload, window)
-    got = run_reference(
-        lambda **kwargs: TERiDSEngine(executor=executor, **kwargs),
-        golden_workload, config)
-    assert executor._persistent_pool is not first_pool
-    executor.close()
-    assert got == _golden(dataset)
-
-
-def test_persistent_pool_tracks_residency_and_closes_idempotently():
-    workload = build_workload("citations", 0.4, 7)
-    config = build_config(workload, 30)
-    executor = MicroBatchExecutor(batch_size=16, max_workers=2,
-                                  pool_mode=POOL_PERSISTENT)
-    engine = TERiDSEngine(repository=workload.repository, config=config,
-                          executor=executor)
-    engine.run(list(workload.interleaved_records())[:90])
-    pool = executor._persistent_pool
-    assert pool is not None
-    # Residency is bounded by what is (or recently was) referenced from the
-    # windows — it can never exceed the union of window capacities.
-    assert 0 < pool.resident_count <= 2 * config.window_size
-    engine.close()
-    engine.close()
-    assert executor._persistent_pool is None
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +309,3 @@ class TestPackedStore:
         assert len(store) == 130
         assert store.row_for(synopses[-1]) is not None
 
-
-# ---------------------------------------------------------------------------
-# Executor argument surface
-# ---------------------------------------------------------------------------
-def test_micro_batch_executor_validates_new_arguments():
-    with pytest.raises(ValueError):
-        MicroBatchExecutor(batch_size=4, pool_mode="bogus")
-    executor = MicroBatchExecutor(batch_size=4)
-    assert executor.vectorized is True  # numpy present in the test env
-    assert MicroBatchExecutor(batch_size=4, vectorized=False).vectorized is False
