@@ -3,7 +3,10 @@
 The heavyweight guarantee is **cell-scan identity**: the vectorized
 ``batch_cell_scan`` lookup (columnar :class:`CellStore`) returns
 bit-identical candidate lists and examination counters to the scalar cell
-walk, and the store tracks exactly the live cells.
+walk, and the store tracks exactly the live cells.  A checkpoint restored
+mid-stream (into a fresh engine, or into the same engine whose columnar
+stores hold tuples from past the snapshot) converges to the uninterrupted
+run's final state.
 """
 
 import pytest
@@ -14,6 +17,7 @@ from repro.core.engine import TERiDSEngine
 from repro.core.pruning import HAS_NUMPY
 from repro.datasets.synthetic import generate_dataset
 from repro.indexes.er_grid import ERGrid
+from repro.runtime import MicroBatchExecutor, SerialExecutor
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
 
@@ -44,6 +48,16 @@ def _observables(engine, matches):
         },
         "grid": (engine.grid.cells_examined, engine.grid.tuples_examined),
     }
+
+
+def _run(workload, config, executor):
+    engine = TERiDSEngine(repository=workload.repository, config=config,
+                          executor=executor)
+    try:
+        report = engine.run(workload.interleaved_records())
+        return _observables(engine, report.matches)
+    finally:
+        engine.close()
 
 
 # ---------------------------------------------------------------------------
@@ -111,3 +125,62 @@ def test_cell_store_recycles_rows_on_cell_eviction(health_pivots,
     # Rows are recycled, not leaked: re-inserting reuses the free list.
     grid.insert(first)
     assert len(store) == rows_with_one
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint / restore with the columnar stores live
+# ---------------------------------------------------------------------------
+def _columnar_engine(workload, config):
+    return TERiDSEngine(repository=workload.repository, config=config,
+                        executor=MicroBatchExecutor(batch_size=8))
+
+
+def test_sharded_checkpoint_restore_mid_stream():
+    """A mid-stream snapshot restored into a fresh micro-batch engine
+    resumes to the uninterrupted run's exact final state."""
+    workload = _small_workload()
+    config = _small_config(workload)
+    records = list(workload.interleaved_records())
+    half = len(records) // 2
+
+    uninterrupted = _run(workload, config, SerialExecutor())
+
+    first = _columnar_engine(workload, config)
+    try:
+        matches = list(first.process_batch(records[:half]))
+        state = first.checkpoint()
+    finally:
+        first.close()
+
+    resumed = _columnar_engine(workload, config)
+    try:
+        resumed.restore_checkpoint(state)
+        matches.extend(resumed.process_batch(records[half:]))
+        got = _observables(resumed, matches)
+    finally:
+        resumed.close()
+    assert got == uninterrupted
+
+
+def test_sharded_pool_self_heals_after_restore_into_same_engine():
+    """Restoring into the *same* engine, whose cell and packed stores hold
+    tuples the restored grid does not, must still resume exactly."""
+    workload = _small_workload()
+    config = _small_config(workload)
+    records = list(workload.interleaved_records())
+    half = len(records) // 2
+
+    uninterrupted = _run(workload, config, SerialExecutor())
+
+    engine = _columnar_engine(workload, config)
+    try:
+        matches = list(engine.process_batch(records[:half]))
+        state = engine.checkpoint()
+        # Keep running past the snapshot, then rewind the SAME engine.
+        engine.process_batch(records[half:])
+        engine.restore_checkpoint(state)
+        matches.extend(engine.process_batch(records[half:]))
+        got = _observables(engine, matches)
+    finally:
+        engine.close()
+    assert got == uninterrupted

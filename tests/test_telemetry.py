@@ -571,26 +571,3 @@ class TestEngineFacade:
     def test_disable_telemetry_restores_null_plane(self, engine):
         engine.disable_telemetry()
         assert engine.ctx.telemetry is NULL_TELEMETRY
-
-
-def test_reenabling_telemetry_does_not_duplicate_bound_metrics():
-    """Re-binding the same registry (a telemetry toggle) must replace the
-    bound getters, not stack duplicates."""
-    workload = generate_dataset("citations", missing_rate=0.3, scale=0.3,
-                                seed=11)
-    config = TERiDSConfig(schema=workload.schema, keywords=workload.keywords,
-                          alpha=0.5, similarity_ratio=0.5, window_size=20)
-    engine = TERiDSEngine(repository=workload.repository, config=config)
-    try:
-        registry = MetricsRegistry()
-        engine.enable_telemetry(registry=registry)
-        engine.enable_telemetry(registry=registry)
-        text = engine.render_metrics()
-        sample_lines = [line for line in text.splitlines()
-                        if line.startswith("terids_batch_seq ")]
-        assert len(sample_lines) == 1
-        multi_lines = [line for line in text.splitlines()
-                       if line.startswith("terids_ingest_batches_total")]
-        assert len(multi_lines) == len(set(multi_lines))
-    finally:
-        engine.close()

@@ -309,3 +309,16 @@ class TestPackedStore:
         assert len(store) == 130
         assert store.row_for(synopses[-1]) is not None
 
+
+
+# ---------------------------------------------------------------------------
+# Executor argument surface
+# ---------------------------------------------------------------------------
+def test_micro_batch_executor_validates_new_arguments():
+    """``batch_size`` is the only argument: bad values are rejected, and so
+    is the removed scalar-path switch rather than being silently ignored."""
+    with pytest.raises(ValueError):
+        MicroBatchExecutor(batch_size=0)
+    with pytest.raises(TypeError):
+        MicroBatchExecutor(batch_size=4, vectorized=False)
+    assert MicroBatchExecutor(batch_size=4).batch_size == 4
