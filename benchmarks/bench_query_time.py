@@ -9,10 +9,10 @@ final live window:
 * **cold** — every ``resolve`` misses the cache (it is cleared between
   queries): frontier expansion + batched cascade from scratch;
 * **warm** — steady state: every cluster was resolved before and no window
-  maintenance ran since, so every lookup is a region-validated cache hit;
+  maintenance ran since, so every lookup is a cache hit;
 * **mixed mid-stream** — lookups interleaved with ingestion (one query
-  burst per batch), the regime the cache's region-targeted invalidation
-  exists for.
+  burst per batch): each batch clears the cache, so these lookups time
+  the cold path while the window moves.
 
 The acceptance bar is a >= 5x p50 speedup of warm over cold lookups —
 cached repeat queries must be near-free — plus bit-identity of every
@@ -34,7 +34,11 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from bench_utils import bench_argument_parser, write_bench_json  # noqa: E402
+from bench_utils import (  # noqa: E402
+    bench_argument_parser,
+    effective_cpus,
+    write_bench_json,
+)
 from repro.core.config import TERiDSConfig  # noqa: E402
 from repro.core.engine import TERiDSEngine  # noqa: E402
 from repro.datasets.synthetic import generate_dataset  # noqa: E402
@@ -162,6 +166,7 @@ def main(argv=None) -> int:
             "row": row,
             "target_cached_speedup": CACHED_TARGET_SPEEDUP,
             "smoke": args.smoke,
+            "effective_cpus": effective_cpus(),
         }, path=args.json or None)
     if args.smoke:
         # The smoke run gates correctness (identity above) and publishes

@@ -17,7 +17,6 @@ skeleton except ``Ij+GER``, which uses the grid-backed matcher below.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.baselines.naive import BaselineReport, StraightforwardTERiDS

@@ -10,8 +10,8 @@ the benchmarks, but the *ratios* keep the paper's defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Iterable, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import FrozenSet, Iterable
 
 from repro.core.matching import normalise_keywords
 from repro.core.tuples import Schema

@@ -371,9 +371,8 @@ class TERiDSEngine:
         restore_engine_state(self.ctx, state)
         if self._resolver is not None:
             # The query-result cache is scratch over the live window: the
-            # grid rebuild already invalidated every entry region by
-            # region, and this keeps the guarantee explicit whatever the
-            # restore path touched.
+            # grid rebuild already cleared it, and this keeps the guarantee
+            # explicit whatever the restore path touched.
             self._resolver.clear()
 
     def save_checkpoint(self, path) -> None:

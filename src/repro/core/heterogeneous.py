@@ -12,7 +12,7 @@ library also covers streams whose sources disagree on attribute names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional
 
 from repro.core.matching import MatchPair
 from repro.core.similarity import jaccard_similarity

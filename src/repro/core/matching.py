@@ -17,7 +17,7 @@ for early acceptance once the accumulated mass already exceeds ``α``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
 from repro.core.similarity import record_similarity
 from repro.core.tuples import ImputedRecord, Instance, Record, Schema

@@ -14,7 +14,7 @@ reproduction (examples, manual runs).
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.baselines.pipelines import (
     ACCURACY_BASELINES,
@@ -23,7 +23,6 @@ from repro.baselines.pipelines import (
 )
 from repro.datasets.synthetic import dataset_statistics
 from repro.experiments.harness import (
-    MethodResult,
     default_config,
     make_workload,
     run_method,
@@ -31,7 +30,6 @@ from repro.experiments.harness import (
 )
 from repro.experiments.params import BENCH_GRID, EVALUATION_DATASETS, ParameterGrid
 from repro.imputation.cdd import discover_cdd_rules
-from repro.imputation.repository import DataRepository
 from repro.indexes.pivots import PivotSelectionConfig, select_pivots
 from repro.metrics.timing import time_callable
 

@@ -13,7 +13,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.baselines.naive import BaselineReport
 from repro.baselines.pipelines import (
-    ALL_BASELINES,
     METHOD_TER_IDS,
     build_baseline,
 )

@@ -11,7 +11,7 @@ benchmark harness; the *relative* sweep shape (e.g. window sizes spanning a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 # ---------------------------------------------------------------------------

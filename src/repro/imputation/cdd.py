@@ -22,11 +22,11 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.similarity import text_distance
-from repro.core.tuples import Record, Schema
+from repro.core.tuples import Record
 from repro.imputation.repository import DataRepository
 
 CONSTRAINT_INTERVAL = "interval"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 from repro.core.similarity import attribute_similarity
 from repro.core.tuples import ImputedRecord, Record, Schema

@@ -15,9 +15,9 @@ lower imputation accuracy for ``er+ER`` (Section 6.3, Figure 5(a)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.tuples import ImputedRecord, Record, Schema
+from repro.core.tuples import ImputedRecord, Record
 from repro.imputation.repository import DataRepository
 
 

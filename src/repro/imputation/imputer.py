@@ -19,10 +19,10 @@ baseline comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, MutableMapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, MutableMapping, Optional, Sequence, Tuple
 
 from repro.core.similarity import text_distance
-from repro.core.tuples import ImputedRecord, Record, Schema
+from repro.core.tuples import ImputedRecord, Record
 from repro.imputation.cdd import CDDRule, group_rules_by_dependent
 from repro.imputation.dd import DDRule, dd_rules_as_cdds
 from repro.imputation.repository import DataRepository

@@ -10,7 +10,7 @@ with new complete samples (Section 5.5, dynamic repository).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.core.similarity import text_distance, tokenize
 from repro.core.tuples import Record, Schema

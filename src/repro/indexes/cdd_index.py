@@ -18,8 +18,8 @@ For every dependent attribute ``A_j`` the index organises the rules
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Collection, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import (Collection, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.similarity import text_distance
 from repro.core.tuples import Record, Schema

@@ -26,7 +26,7 @@ from repro.core.pruning import (
     batch_cell_scan,
     min_attribute_distance,
 )
-from repro.core.tuples import ImputedRecord, Schema
+from repro.core.tuples import Schema
 
 if HAS_NUMPY:
     import numpy as _np
@@ -280,45 +280,6 @@ class ERGrid:
         width = 1.0 / self.cells_per_dim
         return [(index * width, (index + 1) * width) for index in coordinates]
 
-    def cells_within_margin(self, rectangle: Sequence[Tuple[float, float]],
-                            margin: float, lattice_cap: Optional[int] = None,
-                            ) -> Optional[Set[Tuple[int, ...]]]:
-        """Every lattice cell whose min L1 distance to ``rectangle`` is
-        below ``margin`` — whether or not the cell currently exists.
-
-        This is the *region set* of a query rectangle: by the cell-level
-        distance bound (Lemma 4.2), a record can only have an instance pair
-        with similarity above ``d − margin`` against a tuple whose rectangle
-        intersects one of these cells — so any future insert outside the set
-        provably cannot match the query.  The query-result cache keys its
-        invalidation on exactly this set.  With ``lattice_cap`` set, returns
-        ``None`` instead of enumerating a lattice larger than the cap
-        (callers degrade to coarse invalidation).
-        """
-        dimensions = len(rectangle)
-        if lattice_cap is not None and self.cells_per_dim ** dimensions > lattice_cap:
-            return None
-        if margin <= 0:
-            return set()
-        width = 1.0 / self.cells_per_dim
-        axis_distances = [
-            [min_attribute_distance(interval, (index * width,
-                                               (index + 1) * width))
-             for index in range(self.cells_per_dim)]
-            for interval in rectangle
-        ]
-        within: Set[Tuple[int, ...]] = set()
-        for coordinates in itertools.product(range(self.cells_per_dim),
-                                             repeat=dimensions):
-            total = 0.0
-            for dimension, coordinate in enumerate(coordinates):
-                total += axis_distances[dimension][coordinate]
-                if total >= margin:
-                    break
-            else:
-                within.add(coordinates)
-        return within
-
     # -- maintenance ----------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._synopses)
@@ -333,8 +294,7 @@ class ERGrid:
         the cells the mutation touched.  Every window-maintenance path —
         arrival insertion, count-based expiry, event-time retraction and
         checkpoint restore — flows through those two methods, so this is
-        the single chokepoint the query-result cache keys its region-based
-        invalidation on."""
+        the single chokepoint the query-result cache clears itself on."""
         self._maintenance_listeners.append(listener)
 
     def _notify_maintenance(self, cell_keys: List[Tuple[int, ...]]) -> None:

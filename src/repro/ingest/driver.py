@@ -90,7 +90,7 @@ class IngestDriver:
     ----------
     engine:
         The :class:`~repro.core.engine.TERiDSEngine` to feed; its executor
-        (serial or micro-batch, pooled or not) is used as-is.
+        (serial or micro-batch) is used as-is.
     sources:
         The ingest sources; each holds its own watermark until exhausted.
     policy:
@@ -374,28 +374,17 @@ class IngestDriver:
         )
 
     # -- query-time resolution (interleaved lookups) -------------------------
-    def resolve(self, rid: str, source: str, topic=None, gamma=None):
+    async def resolve_async(self, rid: str, source: str, topic=None,
+                            gamma=None):
         """Resolve one in-window entity's cluster between batches.
 
         The on-demand read path over the live window (see
-        :mod:`repro.runtime.query`): safe from the event-loop thread — an
-        ``on_batch`` callback or a task on the same loop — where lookups
-        interleave with batch processing at batch boundaries.  With
-        ``process_in_executor`` a batch may be refining *off* the loop
-        while this runs; use :meth:`resolve_async` there so the lookup
-        serialises behind the in-flight batch instead of racing it.
-        """
-        return self.engine.resolve(rid, source, topic=topic, gamma=gamma)
-
-    async def resolve_async(self, rid: str, source: str, topic=None,
-                            gamma=None):
-        """:meth:`resolve`, serialised with off-loop batch processing.
-
-        When the driver processes batches on its single worker thread
+        :meth:`~repro.core.engine.TERiDSEngine.resolve`).  When the driver
+        processes batches on its single worker thread
         (``process_in_executor``), the lookup is submitted to that same
         thread — batches stay strictly sequential and the lookup observes a
-        quiescent engine.  Without the worker thread this is just
-        :meth:`resolve`.
+        quiescent engine instead of racing an in-flight batch.  Without the
+        worker thread this is just ``engine.resolve``.
         """
         if self._process_pool is not None:
             loop = asyncio.get_running_loop()
@@ -405,18 +394,9 @@ class IngestDriver:
                                             gamma=gamma))
         return self.engine.resolve(rid, source, topic=topic, gamma=gamma)
 
-    def resolve_many(self, entities, topic=None, gamma=None):
-        """Resolve a batch of in-window entities between batches.
-
-        One shared frontier expansion serves all cache misses (see
-        :meth:`~repro.core.engine.TERiDSEngine.resolve_many`); same
-        threading rules as :meth:`resolve`.
-        """
-        return self.engine.resolve_many(entities, topic=topic, gamma=gamma)
-
     async def resolve_many_async(self, entities, topic=None, gamma=None):
-        """:meth:`resolve_many`, serialised with off-loop batch processing
-        (same single-worker hand-off as :meth:`resolve_async`)."""
+        """``engine.resolve_many``, serialised with off-loop batch
+        processing (same single-worker hand-off as :meth:`resolve_async`)."""
         if self._process_pool is not None:
             loop = asyncio.get_running_loop()
             return await loop.run_in_executor(

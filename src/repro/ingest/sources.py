@@ -94,27 +94,16 @@ class ReplaySource:
         First event time; event times are ``start_event_time + i`` for the
         ``i``-th replayed record, so they are strictly increasing and a
         resumed replay can continue the sequence where a checkpoint left it.
-    timestamps:
-        Optional *recorded event-time trace*: one event time per replayed
-        record, used verbatim instead of the synthetic
-        ``start_event_time + i`` sequence.  This is how a captured load
-        regime (bursty event-time clumps, bounded disorder, stragglers)
-        is replayed bit-for-bit.  The trace length must match the
-        record count (checked during replay); it need not be monotone
-        (the watermark clock handles reordering and lateness downstream).
     """
 
     def __init__(self, records: ReplayInput, name: str = "replay",
                  pace: Optional[float] = None,
-                 start_event_time: float = 0.0,
-                 timestamps: Optional[Sequence[float]] = None) -> None:
+                 start_event_time: float = 0.0) -> None:
         if pace is not None and pace < 0:
             raise ValueError(f"pace must be >= 0, got {pace}")
         self.name = name
         self.pace = pace
         self.start_event_time = start_event_time
-        self.timestamps = (list(timestamps) if timestamps is not None
-                           else None)
         self._records = records
 
     def _iter_records(self) -> Iterable[Record]:
@@ -126,24 +115,16 @@ class ReplaySource:
 
     async def __aiter__(self) -> AsyncIterator[StreamElement]:
         event_time = self.start_event_time
-        trace = self.timestamps
-        for index, record in enumerate(self._iter_records()):
+        for record in self._iter_records():
             if self.pace:
                 await asyncio.sleep(self.pace)
             else:
                 # Cooperative yield so an unpaced replay cannot starve the
                 # mux (and the bounded queue can exert backpressure).
                 await asyncio.sleep(0)
-            if trace is not None:
-                if index >= len(trace):
-                    raise ValueError(
-                        f"recorded trace of {self.name!r} has "
-                        f"{len(trace)} timestamps but more records")
-                event_time = trace[index]
             yield StreamElement(record=record, event_time=event_time,
                                 origin=self.name)
-            if trace is None:
-                event_time += 1.0
+            event_time += 1.0
 
 
 class SyntheticRateSource:

@@ -9,7 +9,7 @@ non-topic pairs are not supposed to be returned at all).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Set, Tuple
+from typing import Iterable, Set, Tuple
 
 from repro.core.matching import MatchPair
 

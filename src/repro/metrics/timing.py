@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 #: The single wall-clock source shared by :class:`StageTimer`,
 #: :class:`Stopwatch` and the engine's end-to-end ``run`` timing, so every

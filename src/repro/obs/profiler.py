@@ -13,7 +13,7 @@ import cProfile
 import io
 import pstats
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class _ProfileScope:

@@ -15,10 +15,10 @@ never touches any value that participates in the golden comparisons.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .profiler import SlowBatchProfiler
-from .registry import (GAUGE, HISTOGRAM, HistogramValue, MetricsRegistry,
+from .registry import (GAUGE, HISTOGRAM, MetricsRegistry,
                        exponential_buckets)
 from .tracing import BatchTrace, Span, Tracer
 

@@ -54,7 +54,7 @@ class QueryStats:
     cache_hits: int = 0
     cache_misses: int = 0
     #: Cached clusters dropped because window maintenance (insert, expiry,
-    #: retraction, restore) touched a grid region they depend on.
+    #: retraction, restore) changed the grid.
     cache_invalidations: int = 0
     #: Frontier records expanded across all cold resolves — the query-time
     #: analogue of the grid's ``tuples_examined``.

@@ -26,16 +26,13 @@ query's component (pinned by ``tests/test_query_time.py`` across the
 serial and micro-batch executors).
 
 **Result cache.**  Clusters land in an LRU cache keyed by ``(rid, source,
-topic signature, gamma)``.  Each entry records the grid *regions* it
-depends on — the cells its members touch plus every lattice cell within the
-match margin ``d − γ`` of a member's rectangle (a new record can only match
-a member if one of its cells lands inside that margin, by the cell-level
-distance bound).  Window maintenance (insert, count-based expiry,
+topic signature, gamma)``.  A cached cluster stays valid only until the
+next grid change: window maintenance (insert, count-based expiry,
 event-time retraction, checkpoint restore) notifies the resolver through
-:meth:`~repro.indexes.er_grid.ERGrid.add_maintenance_listener` with the
-touched cell coordinates, and only intersecting entries are dropped — so
-steady-state repeat queries are near-free while a stale cluster is never
-served.  The cache itself is scratch: checkpoints carry only the
+:meth:`~repro.indexes.er_grid.ERGrid.add_maintenance_listener`, and the
+listener drops every entry at once — so repeat queries between two
+batches are near-free while a stale cluster is never served.  The cache
+itself is scratch: checkpoints carry only the
 :class:`~repro.runtime.context.QueryStats` counters, and a restore clears
 every entry.
 """
@@ -48,7 +45,7 @@ from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.matching import MatchPair, normalise_keywords
-from repro.core.pruning import HAS_NUMPY, PruningStats, RecordSynopsis
+from repro.core.pruning import PruningStats, RecordSynopsis
 from repro.runtime.context import RuntimeContext
 from repro.runtime.evaluation import evaluate_task_batch
 
@@ -84,21 +81,8 @@ class ResolvedCluster:
         return (source, rid) in self.members
 
 
-class _CacheEntry:
-    """One cached cluster + the grid regions that can invalidate it."""
-
-    __slots__ = ("cluster", "regions")
-
-    def __init__(self, cluster: ResolvedCluster,
-                 regions: Optional[FrozenSet[Tuple[int, ...]]]) -> None:
-        self.cluster = cluster
-        #: ``None`` marks a *global* entry (lattice too large to enumerate):
-        #: any grid mutation invalidates it.
-        self.regions = regions
-
-
 class QueryResolver:
-    """On-demand collective resolution with a region-invalidated LRU cache.
+    """On-demand collective resolution with an LRU result cache.
 
     Runs against the live grid whatever executor drives the eager path —
     the serial reference and the micro-batch executor both maintain the
@@ -112,18 +96,12 @@ class QueryResolver:
         LRU bound of the result cache (entries, not bytes).
     """
 
-    #: Above this lattice size the exact within-margin region set is not
-    #: enumerated; entries degrade to invalidate-on-any-mutation.
-    LATTICE_CAP = 4096
-
     def __init__(self, ctx: RuntimeContext, cache_size: int = 128) -> None:
         if cache_size < 1:
             raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self.ctx = ctx
         self.cache_size = cache_size
-        self._cache: "OrderedDict[CacheKey, _CacheEntry]" = OrderedDict()
-        self._by_cell: Dict[Tuple[int, ...], Set[CacheKey]] = {}
-        self._global_keys: Set[CacheKey] = set()
+        self._cache: "OrderedDict[CacheKey, ResolvedCluster]" = OrderedDict()
         ctx.grid.add_maintenance_listener(self._on_grid_mutation)
 
     # -- public API ----------------------------------------------------------
@@ -140,30 +118,7 @@ class QueryResolver:
 
         Raises :class:`KeyError` when the record is not in the live window.
         """
-        ctx = self.ctx
-        pruning = ctx.pruning
-        keywords = (pruning.keywords if topic is None
-                    else normalise_keywords(topic))
-        gamma_value = pruning.gamma if gamma is None else float(gamma)
-        if not ctx.grid.contains(rid, source):
-            raise KeyError(f"({rid!r}, {source!r}) is not in the live window")
-        tel = ctx.telemetry
-        start = perf_counter()
-        ctx.query.resolves += 1
-        cache_key: CacheKey = (rid, source, keywords, gamma_value)
-        entry = self._cache.get(cache_key)
-        if entry is not None:
-            ctx.query.cache_hits += 1
-            self._cache.move_to_end(cache_key)
-            tel.observe_resolve(perf_counter() - start, cached=True)
-            return entry.cluster
-        ctx.query.cache_misses += 1
-        with tel.span("resolve"):
-            cluster, member_synopses = self._expand(
-                (rid, source), keywords, gamma_value)
-        self._store(cache_key, cluster, member_synopses, gamma_value)
-        tel.observe_resolve(perf_counter() - start, cached=False)
-        return cluster
+        return self.resolve_many([(rid, source)], topic, gamma)[0]
 
     def resolve_many(self, entities,
                      topic: Optional[FrozenSet[str]] = None,
@@ -179,8 +134,7 @@ class QueryResolver:
         evaluated twice however many queries reach it.  Per-seed clusters
         are then read off the connected components of the shared match
         edges, and each is cached under its normal per-seed key — so every
-        returned cluster is bit-identical to what :meth:`resolve` would
-        have returned for that entity alone.
+        returned cluster is bit-identical to resolving that entity alone.
 
         Raises :class:`KeyError` when any named record is not in the live
         window (before any expansion work is done).
@@ -205,12 +159,12 @@ class QueryResolver:
                 continue  # duplicate input entity: one expansion suffices
             ctx.query.resolves += 1
             cache_key: CacheKey = (key[0], key[1], keywords, gamma_value)
-            entry = self._cache.get(cache_key)
-            if entry is not None:
+            cached = self._cache.get(cache_key)
+            if cached is not None:
                 ctx.query.cache_hits += 1
                 self._cache.move_to_end(cache_key)
                 tel.observe_resolve(perf_counter() - start, cached=True)
-                resolved[key] = entry.cluster
+                resolved[key] = cached
             else:
                 ctx.query.cache_misses += 1
                 misses.append(key)
@@ -220,12 +174,11 @@ class QueryResolver:
             components = self._components(members, edges)
             elapsed = perf_counter() - start
             for seed in misses:
-                component = components[seed]
                 cluster = self._component_cluster(
-                    seed, component, edges, keywords, gamma_value)
-                member_synopses = {key: members[key] for key in component}
-                self._store((seed[0], seed[1], keywords, gamma_value),
-                            cluster, member_synopses, gamma_value)
+                    seed, components[seed], edges, keywords, gamma_value)
+                while len(self._cache) >= self.cache_size:
+                    self._cache.popitem(last=False)
+                self._cache[seed + (keywords, gamma_value)] = cluster
                 resolved[seed] = cluster
                 tel.observe_resolve(elapsed, cached=False)
         return [resolved[key] for key in keys]
@@ -234,24 +187,11 @@ class QueryResolver:
         """Drop every cached cluster (counted as invalidations)."""
         self.ctx.query.cache_invalidations += len(self._cache)
         self._cache.clear()
-        self._by_cell.clear()
-        self._global_keys.clear()
 
     def __len__(self) -> int:
         return len(self._cache)
 
     # -- collective expansion ------------------------------------------------
-    def _expand(self, seed: RecordKey, keywords: FrozenSet[str],
-                gamma: float) -> Tuple[ResolvedCluster,
-                                       Dict[RecordKey, RecordSynopsis]]:
-        """Frontier fixpoint around ``seed``; returns cluster + member map."""
-        members, edges = self._collect([seed], keywords, gamma)
-        # A single-seed expansion only admits members through match edges,
-        # so every member is in the seed's component already.
-        cluster = self._component_cluster(seed, set(members), edges,
-                                          keywords, gamma)
-        return cluster, members
-
     def _collect(self, seeds: List[RecordKey], keywords: FrozenSet[str],
                  gamma: float) -> Tuple[Dict[RecordKey, RecordSynopsis],
                                         Dict[Tuple, MatchPair]]:
@@ -320,7 +260,7 @@ class QueryResolver:
                     use_similarity=pruning.use_similarity,
                     use_probability=pruning.use_probability,
                     use_instance=pruning.use_instance, stats=scratch,
-                    vectorized=HAS_NUMPY, store=grid.packed_store)
+                    store=grid.packed_store)
                 ring = []
                 for (query, candidates), item_verdicts in zip(items,
                                                               verdicts):
@@ -384,61 +324,7 @@ class QueryResolver:
                                  for rid, source in component)),
             pairs=tuple(sorted(pairs, key=lambda pair: pair.key())))
 
-    # -- cache bookkeeping ---------------------------------------------------
-    def _store(self, cache_key: CacheKey, cluster: ResolvedCluster,
-               member_synopses: Dict[RecordKey, RecordSynopsis],
-               gamma: float) -> None:
-        grid = self.ctx.grid
-        margin = len(grid.schema) - gamma
-        regions: Optional[Set[Tuple[int, ...]]] = set()
-        for (rid, source), synopsis in member_synopses.items():
-            # A member's own cells: its expiry/retraction must always hit.
-            regions.update(grid.record_cells(rid, source))
-            if margin <= 0:
-                continue
-            within = grid.cells_within_margin(
-                synopsis.coordinate_rectangle(), margin,
-                lattice_cap=self.LATTICE_CAP)
-            if within is None:
-                regions = None
-                break
-            regions.update(within)
-        while len(self._cache) >= self.cache_size:
-            evicted_key, evicted = self._cache.popitem(last=False)
-            self._forget(evicted_key, evicted)
-        entry = _CacheEntry(cluster,
-                            None if regions is None else frozenset(regions))
-        self._cache[cache_key] = entry
-        if entry.regions is None:
-            self._global_keys.add(cache_key)
-        else:
-            for coordinates in entry.regions:
-                self._by_cell.setdefault(coordinates, set()).add(cache_key)
-
-    def _forget(self, cache_key: CacheKey, entry: _CacheEntry) -> None:
-        """Unlink one entry from the region index (entry already popped)."""
-        if entry.regions is None:
-            self._global_keys.discard(cache_key)
-            return
-        for coordinates in entry.regions:
-            keys = self._by_cell.get(coordinates)
-            if keys is not None:
-                keys.discard(cache_key)
-                if not keys:
-                    del self._by_cell[coordinates]
-
+    # -- cache invalidation --------------------------------------------------
     def _on_grid_mutation(self, cells) -> None:
-        """Drop every cached cluster whose regions a mutation touched."""
-        if not self._cache:
-            return
-        stale: Set[CacheKey] = set(self._global_keys)
-        for coordinates in cells:
-            keys = self._by_cell.get(tuple(coordinates))
-            if keys:
-                stale.update(keys)
-        for cache_key in stale:
-            entry = self._cache.pop(cache_key, None)
-            if entry is None:
-                continue
-            self._forget(cache_key, entry)
-            self.ctx.query.cache_invalidations += 1
+        """Any grid change may alter any cluster: drop the whole cache."""
+        self.clear()

@@ -34,7 +34,6 @@ from repro.core.tuples import ImputedRecord, Record
 from repro.imputation.cdd import CDDRule, discover_cdd_rules
 from repro.imputation.incremental import MaintenanceReport
 from repro.runtime.context import RuntimeContext
-from repro.runtime.evaluation import evaluate_pair_cached
 
 
 @dataclass

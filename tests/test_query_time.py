@@ -7,16 +7,18 @@ The heavyweight guarantees:
   connected component (members, pair orientation, probabilities and
   timestamps all bit-identical), for *every* in-window entity, across the
   serial and micro-batch executors and at any point mid-stream;
-* **Cache soundness** — a cached cluster is never served stale: entries
-  are dropped when window maintenance (insert, count-based expiry,
-  event-time retraction, checkpoint restore) touches their grid regions,
-  and untouched entries survive;
+* **Cache soundness** — a cached cluster is never served stale: the whole
+  cache is dropped when window maintenance (insert, count-based expiry,
+  event-time retraction, checkpoint restore) changes the grid;
 * **Counter hygiene** — interactive lookups leave the eager path's
   golden-pinned pruning and grid counters untouched.
 """
 
+import asyncio
 import json
+import threading
 from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
 from repro.core.pruning import HAS_NUMPY
 from repro.datasets.synthetic import generate_dataset
+from repro.ingest import BatchPolicy, CallbackSource, IngestDriver
 from repro.runtime import MicroBatchExecutor, QueryResolver, SerialExecutor
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
@@ -258,7 +261,7 @@ def test_resolver_rejects_bad_cache_size():
 
 
 # ---------------------------------------------------------------------------
-# Cache semantics: hits, LRU bound, region-targeted invalidation
+# Cache semantics: hits, LRU bound, invalidation on grid change
 # ---------------------------------------------------------------------------
 def test_repeat_query_is_a_cache_hit_returning_the_same_object():
     workload = _small_workload()
@@ -372,6 +375,31 @@ def test_event_time_retraction_drops_the_cached_cluster():
         # Other entities still answer correctly after the retraction.
         for (other_rid, other_source), _ in engine.grid.synopsis_items()[:5]:
             assert_cluster_equals_closure(engine, other_rid, other_source)
+    finally:
+        engine.close()
+
+
+def test_any_grid_change_drops_every_cached_cluster():
+    """A cached cluster lives only until the next grid change: one
+    retraction empties the whole cache, even entries far from the retracted
+    record (a strict ``gamma`` keeps each cluster's match margin narrow)."""
+    workload = _small_workload()
+    engine = TERiDSEngine(repository=workload.repository,
+                          config=_small_config(workload))
+    try:
+        engine.run(workload.interleaved_records())
+        items = engine.grid.synopsis_items()
+        for (rid, source), _ in items:
+            engine.resolve(rid, source, gamma=3.5)
+        cached = len(engine.resolver)
+        assert cached == len(items)
+
+        before = engine.ctx.query.cache_invalidations
+        (rid, source), _ = items[0]
+        engine.pipeline.maintenance.retract(
+            [SimpleNamespace(rid=rid, source=source)])
+        assert len(engine.resolver) == 0
+        assert engine.ctx.query.cache_invalidations == before + cached
     finally:
         engine.close()
 
@@ -514,5 +542,68 @@ def test_resolve_many_unknown_entity_raises_before_any_work():
         with pytest.raises(KeyError):
             engine.resolve_many([(rid, source), ("ghost", "stream-a")])
         assert engine.ctx.query.as_dict() == before  # nothing was counted
+    finally:
+        engine.close()
+
+
+# ---------------------------------------------------------------------------
+# Lookups through the ingest driver's worker thread
+# ---------------------------------------------------------------------------
+def test_driver_async_lookups_run_on_the_worker_thread_between_batches():
+    """With ``process_in_executor`` the driver hands ``resolve_async`` /
+    ``resolve_many_async`` to its batch worker thread; a task on the same
+    loop that looks up entities between batches gets the eager closure."""
+    workload = _small_workload()
+    engine = TERiDSEngine(repository=workload.repository,
+                          config=_small_config(workload))
+    chunk = 10
+    records = list(workload.interleaved_records())
+    records = records[:len(records) // chunk * chunk]
+    source = CallbackSource()
+    driver = IngestDriver(engine, [source], policy=BatchPolicy(max_batch=5),
+                          process_in_executor=True)
+    lookup_threads = set()
+
+    def on_thread(method):
+        def spy(*args, **kwargs):
+            lookup_threads.add(threading.get_ident())
+            return method(*args, **kwargs)
+        return spy
+
+    engine.resolve = on_thread(engine.resolve)
+    engine.resolve_many = on_thread(engine.resolve_many)
+    checked = []
+
+    async def lookups():
+        try:
+            for start in range(0, len(records), chunk):
+                for record in records[start:start + chunk]:
+                    source.push(record)
+                # The source stays silent until this chunk is processed, so
+                # the engine is quiescent between the lookups below.
+                while driver.tuples_processed < start + chunk:
+                    await asyncio.sleep(0.001)
+                keys = [key for key, _ in engine.grid.synopsis_items()]
+                single = await driver.resolve_async(*keys[0])
+                clusters = await driver.resolve_many_async(keys)
+                assert_cluster_equals_closure(engine, *keys[0],
+                                              cluster=single)
+                for key, cluster in zip(keys, clusters):
+                    assert_cluster_equals_closure(engine, *key,
+                                                  cluster=cluster)
+                checked.append(len(keys))
+        finally:
+            source.close()
+
+    async def main():
+        return await asyncio.wait_for(
+            asyncio.gather(driver.run_async(), lookups()), timeout=60)
+
+    try:
+        report, _ = asyncio.run(main())
+        assert report.tuples_processed == len(records)
+        assert len(checked) == len(records) // chunk
+        assert lookup_threads
+        assert threading.get_ident() not in lookup_threads
     finally:
         engine.close()
