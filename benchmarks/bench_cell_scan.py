@@ -10,7 +10,7 @@ acceptance bar is >= 3x (median over repeats) at >= 100 cells.
 
 Run directly::
 
-    PYTHONPATH=src python benchmarks/bench_sharded_grid.py [--json] [--smoke]
+    PYTHONPATH=src python benchmarks/bench_cell_scan.py [--json] [--smoke]
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from bench_utils import (  # noqa: E402
 )
 from repro.core.config import TERiDSConfig  # noqa: E402
 from repro.core.engine import TERiDSEngine  # noqa: E402
-from repro.core.pruning import HAS_NUMPY  # noqa: E402
 from repro.datasets.synthetic import generate_dataset  # noqa: E402
 from repro.experiments.harness import format_rows  # noqa: E402
 from repro.metrics.timing import now  # noqa: E402
 
-BENCH_NAME = "sharded_grid"
+BENCH_NAME = "cell_scan"
 BENCH_DATASET = "citations"
 BENCH_SEED = 7
 SCAN_TARGET_SPEEDUP = 3.0
@@ -121,10 +120,6 @@ def main(argv=None) -> int:
     parser = bench_argument_parser(
         "Columnar ER-grid: vectorized cell scan vs the scalar cell walk")
     args = parser.parse_args(argv)
-    if not HAS_NUMPY:
-        print("numpy unavailable: the columnar cell scan cannot run")
-        return 1
-
     scan_params: Dict[str, object] = {}
     scan_row = run_scan_bench(smoke=args.smoke, params_out=scan_params)
     cpus = effective_cpus()

@@ -204,9 +204,7 @@ def main(argv=None) -> int:
     print(f"\nbest speedup at batch_size >= 32: {best:.2f}x "
           f"(target: >= 1.5x)")
 
-    overhead = run_telemetry_overhead(scale=scale, window=window,
-                                      repeats=1 if args.smoke
-                                      else TELEMETRY_REPEATS)
+    overhead = run_telemetry_overhead(scale=scale, window=window)
     print("\n=== telemetry plane overhead (micro-batch, "
           f"batch_size={overhead['batch_size']}) ===")
     print(f"disabled: {overhead['disabled_seconds']:.4f}s   "

@@ -26,19 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.core.matching import ter_ids_probability_with_cutoff
 from repro.core.similarity import (
-    HAS_NUMPY,
     attribute_similarity_upper_bound,
     attribute_similarity_upper_bound_batch,
     text_distance,
     tokenize,
 )
-
-if HAS_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 from repro.core.tuples import ImputedRecord, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - only needed for type checkers
@@ -465,9 +461,7 @@ class PackedSynopsis:
 
 
 def pack_synopsis(synopsis: RecordSynopsis) -> "PackedSynopsis":
-    """Build the packed columnar block of one synopsis (numpy required)."""
-    if _np is None:  # pragma: no cover - callers gate on HAS_NUMPY
-        raise RuntimeError("numpy is required to pack synopses")
+    """Build the packed columnar block of one synopsis."""
     schema = synopsis.schema
     dimensionality = len(schema)
     bounds = [synopsis.distance_bounds[name] for name in schema]
@@ -512,14 +506,8 @@ def pack_synopsis(synopsis: RecordSynopsis) -> "PackedSynopsis":
     )
 
 
-def ensure_packed(synopsis: RecordSynopsis) -> Optional["PackedSynopsis"]:
-    """The synopsis' packed block, built once and cached on the object.
-
-    Returns ``None`` when numpy is unavailable so callers can fall back to
-    the scalar cascade.
-    """
-    if _np is None:
-        return None
+def ensure_packed(synopsis: RecordSynopsis) -> "PackedSynopsis":
+    """The synopsis' packed block, built once and cached on the object."""
     packed = getattr(synopsis, _PACKED_ATTR, None)
     if packed is None:
         packed = pack_synopsis(synopsis)
@@ -588,8 +576,6 @@ class PackedStore:
         are mixed) is simply not stored — the kernel falls back to stacking
         such candidates individually.
         """
-        if _np is None:
-            return None
         packed = ensure_packed(synopsis)
         if self._shape is None:
             self._shape = packed.dist_lb.shape
@@ -715,8 +701,6 @@ def batch_cell_scan(query_lb, query_ub, cell_lb, cell_ub):
     are non-positive for overlapping ones), and the per-attribute totals are
     accumulated left-to-right like the scalar loop.
     """
-    if _np is None:  # pragma: no cover - callers gate on HAS_NUMPY
-        raise RuntimeError("numpy is required for batch_cell_scan")
     per_attribute = _np.maximum(
         0.0, _np.maximum(query_lb[_np.newaxis, :] - cell_ub,
                          cell_lb - query_ub[_np.newaxis, :]))
@@ -740,8 +724,6 @@ def batch_prune(query: RecordSynopsis,
     :func:`probability_prune` per pair: the bound arithmetic performs the
     same IEEE operations on the same operands, only batched.
     """
-    if _np is None:
-        raise RuntimeError("numpy is required for batch_prune")
     query_packed = ensure_packed(query)
     count = len(candidates)
     (cand_lb, cand_ub, cand_tok_min, cand_tok_max,

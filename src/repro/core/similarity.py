@@ -14,12 +14,7 @@ import re
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Tuple
 
-try:  # numpy is optional: the vectorized kernels fall back to scalar code.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
-
-HAS_NUMPY = _np is not None
+import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.tuples import Record, Schema
@@ -147,8 +142,6 @@ def attribute_similarity_upper_bound_batch(left_min, left_max,
     bit-identical to the scalar bound — just computed for every
     (query, candidate, attribute) cell at once.
     """
-    if _np is None:  # pragma: no cover - callers gate on HAS_NUMPY
-        raise RuntimeError("numpy is required for the batched similarity bound")
     l_min = left_min[_np.newaxis, :]
     l_max = left_max[_np.newaxis, :]
     # Branch 1: the query's smallest set is larger than the candidate's

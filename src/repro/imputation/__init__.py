@@ -15,9 +15,7 @@ from repro.imputation.cdd import (
 from repro.imputation.constraint import StreamConstraintImputer
 from repro.imputation.dd import (
     DDDiscoveryConfig,
-    DDMaintenanceReport,
     DDRule,
-    IncrementalDDMaintainer,
     dd_rules_as_cdds,
     discover_dd_rules,
 )
@@ -52,12 +50,10 @@ __all__ = [
     "CDDImputer",
     "DataRepository",
     "DDDiscoveryConfig",
-    "DDMaintenanceReport",
     "DDRule",
     "EditingRule",
     "EditingRuleImputer",
     "ImputationStats",
-    "IncrementalDDMaintainer",
     "IncrementalRuleMaintainer",
     "MaintenanceReport",
     "RepositoryError",

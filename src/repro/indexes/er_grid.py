@@ -3,10 +3,10 @@
 The grid partitions the pivot-converted space ``[0, 1]^d`` into equal-size
 cells.  Every in-window imputed tuple is registered in all cells its
 coordinate rectangle (the per-attribute main-pivot distance intervals of its
-possible values) intersects.  Cells maintain aggregates — a keyword flag,
-per-attribute distance intervals and token-size intervals — which allow the
-engine to discard whole cells with the topic and similarity bounds before
-looking at individual tuples.
+possible values) intersects.  Cells maintain two aggregates — a keyword flag
+and per-attribute main-pivot distance intervals — which allow the engine to
+discard whole cells with the topic and pivot-distance bounds before looking
+at individual tuples.
 
 The grid is maintained incrementally: expired tuples are evicted and their
 cells' aggregates recomputed; new tuples are inserted together with their
@@ -19,19 +19,15 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as _np
+
 from repro.core.pruning import (
-    HAS_NUMPY,
     PackedStore,
     RecordSynopsis,
     batch_cell_scan,
     min_attribute_distance,
 )
 from repro.core.tuples import Schema
-
-if HAS_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 
 @dataclass
@@ -42,7 +38,6 @@ class GridCell:
     entries: Dict[Tuple[str, str], RecordSynopsis] = field(default_factory=dict)
     may_have_keyword: bool = False
     distance_intervals: Optional[List[Tuple[float, float]]] = None
-    token_size_intervals: Optional[List[Tuple[int, int]]] = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -52,28 +47,19 @@ class GridCell:
         if not self.entries:
             self.may_have_keyword = False
             self.distance_intervals = None
-            self.token_size_intervals = None
             return
         self.may_have_keyword = any(entry.may_have_keyword
                                     for entry in self.entries.values())
         distance: List[Tuple[float, float]] = []
-        sizes: List[Tuple[int, int]] = []
         for attribute in schema:
             lows = []
             highs = []
-            size_lows = []
-            size_highs = []
             for entry in self.entries.values():
                 low, high = entry.main_interval(attribute)
                 lows.append(low)
                 highs.append(high)
-                size_low, size_high = entry.token_size_bounds[attribute]
-                size_lows.append(size_low)
-                size_highs.append(size_high)
             distance.append((min(lows), max(highs)))
-            sizes.append((min(size_lows), max(size_highs)))
         self.distance_intervals = distance
-        self.token_size_intervals = sizes
 
     def add(self, synopsis: RecordSynopsis, schema: Schema) -> None:
         """Register one tuple synopsis and update the aggregates incrementally."""
@@ -81,21 +67,14 @@ class GridCell:
         self.entries[key] = synopsis
         self.may_have_keyword = self.may_have_keyword or synopsis.may_have_keyword
         new_distance: List[Tuple[float, float]] = []
-        new_sizes: List[Tuple[int, int]] = []
         for index, attribute in enumerate(schema):
             low, high = synopsis.main_interval(attribute)
-            size_low, size_high = synopsis.token_size_bounds[attribute]
             if self.distance_intervals is None:
                 new_distance.append((low, high))
-                new_sizes.append((size_low, size_high))
             else:
                 old_low, old_high = self.distance_intervals[index]
                 new_distance.append((min(old_low, low), max(old_high, high)))
-                old_size_low, old_size_high = self.token_size_intervals[index]  # type: ignore[index]
-                new_sizes.append((min(old_size_low, size_low),
-                                  max(old_size_high, size_high)))
         self.distance_intervals = new_distance
-        self.token_size_intervals = new_sizes
 
     def remove(self, rid: str, source: str, schema: Schema) -> bool:
         """Evict one tuple; aggregates are recomputed from scratch."""
@@ -219,16 +198,14 @@ class ERGrid:
         """The resident columnar synopsis store (``None`` until enabled)."""
         return self._packed_store
 
-    def enable_packed_store(self) -> Optional[PackedStore]:
+    def enable_packed_store(self) -> PackedStore:
         """Keep a columnar :class:`PackedStore` in sync with the grid.
 
         Enabled on demand by the vectorized refinement path (so the serial
         executor pays nothing); on first call the current window contents
         are back-filled, afterwards :meth:`insert` / :meth:`remove` maintain
-        the store incrementally.  A no-op returning ``None`` without numpy.
+        the store incrementally.
         """
-        if not HAS_NUMPY:
-            return None
         if self._packed_store is None:
             store = PackedStore()
             for synopsis in self._synopses.values():
@@ -241,18 +218,15 @@ class ERGrid:
         """The resident columnar cell-aggregate store (``None`` until enabled)."""
         return self._cell_store
 
-    def enable_cell_store(self) -> Optional["CellStore"]:
+    def enable_cell_store(self) -> "CellStore":
         """Keep a columnar :class:`CellStore` in sync with the cell aggregates.
 
         Enabled on demand by the vectorized lookup path (the serial executor
         pays nothing); on first call the current cells are back-filled,
         afterwards :meth:`insert` / :meth:`remove` maintain the store
         incrementally and :meth:`candidate_synopses` scans the whole grid
-        with one :func:`~repro.core.pruning.batch_cell_scan` call.  A no-op
-        returning ``None`` without numpy.
+        with one :func:`~repro.core.pruning.batch_cell_scan` call.
         """
-        if not HAS_NUMPY:
-            return None
         if self._cell_store is None:
             store = CellStore(len(self.schema))
             for cell in self._cells.values():

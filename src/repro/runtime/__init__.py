@@ -14,8 +14,6 @@ from repro.runtime.checkpoint import engine_state_to_dict, restore_engine_state
 from repro.runtime.context import IngestStats, QueryStats, RuntimeContext
 from repro.runtime.query import QueryResolver, ResolvedCluster
 from repro.runtime.evaluation import (
-    evaluate_candidates,
-    evaluate_pair_cached,
     evaluate_task_batch,
     instance_profiles,
     refine_pair_cached,
@@ -52,8 +50,6 @@ __all__ = [
     "SynopsisStage",
     "TupleTask",
     "engine_state_to_dict",
-    "evaluate_candidates",
-    "evaluate_pair_cached",
     "evaluate_task_batch",
     "instance_profiles",
     "refine_pair_cached",

@@ -1,4 +1,4 @@
-"""Cached, batch-friendly candidate-pair evaluation.
+"""Columnar, profile-cached evaluation of a micro-batch's candidate pairs.
 
 The refinement step (Theorem 4.4 / Equation (2)) dominates the online cost:
 for every surviving candidate pair it enumerates instance pairs, and for
@@ -16,6 +16,12 @@ probabilities are bit-identical to
 :func:`repro.core.matching.ter_ids_probability_with_cutoff` /
 :func:`repro.core.matching.ter_ids_probability`; only the redundant work is
 gone.
+
+:func:`evaluate_task_batch` is the one entry point: the three bound
+strategies run through the columnar :func:`~repro.core.pruning.batch_prune`
+kernel, the survivors through :func:`refine_pair_cached`.  Its reference is
+the per-pair cascade :meth:`repro.core.pruning.PruningPipeline.evaluate_pair`
+that the ``SerialExecutor`` runs.
 """
 
 from __future__ import annotations
@@ -23,14 +29,10 @@ from __future__ import annotations
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.pruning import (
-    HAS_NUMPY,
     PackedStore,
     PruningStats,
     RecordSynopsis,
     batch_prune,
-    probability_prune,
-    similarity_prune,
-    topic_keyword_prune,
 )
 from repro.core.similarity import jaccard_similarity
 
@@ -73,7 +75,7 @@ def sorted_instance_profiles(synopsis: RecordSynopsis,
                              keywords: FrozenSet[str]) -> List[InstanceProfile]:
     """Descending-probability profiles of one synopsis, cached once.
 
-    ``cutoff_probability`` visits instances in descending probability; a
+    The Theorem 4.4 cutoff visits instances in descending probability; a
     tuple is refined against many queries during its window residency, so
     the sort is hoisted out of the per-pair path.  Sorting is deterministic
     (stable sort over the same enumeration), so the cached order is exactly
@@ -101,27 +103,16 @@ def _profile_pair_matches(left: InstanceProfile, right: InstanceProfile,
     return similarity > gamma
 
 
-def cutoff_probability(lefts: Sequence[InstanceProfile],
-                       rights: Sequence[InstanceProfile],
-                       has_keywords: bool, gamma: float,
-                       alpha: float) -> Tuple[float, bool, int]:
-    """Theorem 4.4 early-terminating Eq. (2) over cached profiles.
-
-    Bit-identical to ``ter_ids_probability_with_cutoff``: same
-    descending-probability visit order (stable sort over the same instance
-    enumeration), same accumulation order, same bounds.
-    """
-    return cutoff_probability_sorted(
-        sorted(lefts, key=lambda profile: -profile[0]),
-        sorted(rights, key=lambda profile: -profile[0]),
-        has_keywords, gamma, alpha)
-
-
 def cutoff_probability_sorted(lefts: Sequence[InstanceProfile],
                               rights: Sequence[InstanceProfile],
                               has_keywords: bool, gamma: float,
                               alpha: float) -> Tuple[float, bool, int]:
-    """:func:`cutoff_probability` over already-sorted profile lists."""
+    """Theorem 4.4 early-terminating Eq. (2) over descending-probability profiles.
+
+    Bit-identical to ``ter_ids_probability_with_cutoff`` given the lists of
+    :func:`sorted_instance_profiles`: same visit order, same accumulation
+    order, same bounds.
+    """
     matched_mass = 0.0
     explored_mass = 0.0
     pairs_checked = 0
@@ -144,7 +135,7 @@ def cutoff_probability_sorted(lefts: Sequence[InstanceProfile],
 def exact_probability(lefts: Sequence[InstanceProfile],
                       rights: Sequence[InstanceProfile],
                       has_keywords: bool, gamma: float) -> float:
-    """Exact Eq. (2) over cached profiles (``ter_ids_probability`` twin)."""
+    """Exact Eq. (2) over cached profiles; mirrors ``ter_ids_probability``."""
     total = 0.0
     for left in lefts:
         left_probability = left[0]
@@ -160,10 +151,9 @@ def refine_pair_cached(left: RecordSynopsis, right: RecordSynopsis,
                        stats: PruningStats) -> Tuple[bool, float]:
     """Instance-level refinement (Theorem 4.4 / Eq. (2)) of one pair.
 
-    The tail of the cascade shared by the scalar per-pair path and the
-    vectorized kernel: pairs reaching it have survived the three bound
-    strategies, so only the exact (cutoff) probability and the refinement
-    counters remain.
+    The tail of the cascade after the columnar kernel: pairs reaching it
+    have survived the three bound strategies, so only the exact (cutoff)
+    probability and the refinement counters remain.
     """
     has_keywords = bool(keywords)
     if use_instance:
@@ -192,144 +182,42 @@ def refine_pair_cached(left: RecordSynopsis, right: RecordSynopsis,
     return is_match, probability
 
 
-def evaluate_pair_cached(left: RecordSynopsis, right: RecordSynopsis,
-                         keywords: FrozenSet[str], gamma: float, alpha: float,
-                         use_topic: bool, use_similarity: bool,
-                         use_probability: bool, use_instance: bool,
-                         stats: PruningStats) -> Tuple[bool, float]:
-    """Profile-cached twin of ``PruningPipeline.evaluate_pair``.
-
-    Applies the four strategies in the paper's order with identical
-    counters; the refinement runs over the cached instance profiles instead
-    of re-deriving token sets per instance pair.
-    """
-    stats.pairs_considered += 1
-
-    if use_topic and topic_keyword_prune(left, right, keywords):
-        stats.pruned_by_topic += 1
-        return False, 0.0
-
-    if use_similarity and similarity_prune(left, right, gamma):
-        stats.pruned_by_similarity += 1
-        return False, 0.0
-
-    if use_probability and probability_prune(left, right, gamma, alpha):
-        stats.pruned_by_probability += 1
-        return False, 0.0
-
-    return refine_pair_cached(left, right, keywords, gamma, alpha,
-                              use_instance, stats)
-
-
-def evaluate_candidates(query: RecordSynopsis,
-                        candidates: Sequence[RecordSynopsis],
-                        keywords: FrozenSet[str], gamma: float, alpha: float,
-                        use_topic: bool, use_similarity: bool,
-                        use_probability: bool, use_instance: bool,
-                        stats: PruningStats, vectorized: bool = True,
-                        store: Optional[PackedStore] = None,
-                        ) -> List[Tuple[bool, float]]:
-    """Verdicts of one query against its whole candidate list (in order).
-
-    With ``vectorized`` (and numpy available) the three bound strategies run
-    through :func:`~repro.core.pruning.batch_prune` — a handful of columnar
-    array operations over the packed synopses, gathered from ``store`` when
-    the candidates are resident — and only the surviving pairs fall through
-    to the scalar instance-level refinement.  Verdicts, probabilities and
-    every counter are identical to the per-pair scalar cascade; the
-    ``vectorized=False`` path (also the automatic numpy-less fallback) *is*
-    that scalar cascade.
-    """
-    if not candidates:
-        return []
-    if not (vectorized and HAS_NUMPY):
-        return [
-            evaluate_pair_cached(
-                query, candidate, keywords=keywords, gamma=gamma, alpha=alpha,
-                use_topic=use_topic, use_similarity=use_similarity,
-                use_probability=use_probability, use_instance=use_instance,
-                stats=stats)
-            for candidate in candidates
-        ]
-    verdicts, survivors = _vectorized_prune_pass(
-        query, candidates, keywords=keywords, gamma=gamma, alpha=alpha,
-        use_topic=use_topic, use_similarity=use_similarity,
-        use_probability=use_probability, stats=stats, store=store)
-    for position in survivors:
-        verdicts[position] = refine_pair_cached(
-            query, candidates[position], keywords, gamma, alpha,
-            use_instance, stats)
-    return verdicts
-
-
-def _vectorized_prune_pass(query: RecordSynopsis,
-                           candidates: Sequence[RecordSynopsis],
-                           keywords: FrozenSet[str], gamma: float,
-                           alpha: float, use_topic: bool,
-                           use_similarity: bool, use_probability: bool,
-                           stats: PruningStats,
-                           store: Optional[PackedStore],
-                           ) -> Tuple[List[Tuple[bool, float]], List[int]]:
-    """The three bound strategies + counter accounting for one query.
-
-    The single authority for how the vectorized kernel's results map onto
-    the cascade's counters (shared by :func:`evaluate_candidates` and
-    :func:`evaluate_task_batch`, which only schedule the refinement tail
-    differently).  Returns the default-pruned verdict list and the
-    ascending candidate positions that fall through to refinement.
-    """
-    alive, pruned_topic, pruned_similarity, pruned_probability = batch_prune(
-        query, candidates, keywords=keywords, gamma=gamma, alpha=alpha,
-        use_topic=use_topic, use_similarity=use_similarity,
-        use_probability=use_probability, store=store)
-    stats.pairs_considered += len(candidates)
-    stats.pruned_by_topic += pruned_topic
-    stats.pruned_by_similarity += pruned_similarity
-    stats.pruned_by_probability += pruned_probability
-    verdicts: List[Tuple[bool, float]] = [(False, 0.0)] * len(candidates)
-    return verdicts, [int(index) for index in alive.nonzero()[0]]
-
-
 def evaluate_task_batch(items: Sequence[Tuple[RecordSynopsis,
                                               Sequence[RecordSynopsis]]],
                         keywords: FrozenSet[str], gamma: float, alpha: float,
                         use_topic: bool, use_similarity: bool,
                         use_probability: bool, use_instance: bool,
-                        stats: PruningStats, vectorized: bool = True,
+                        stats: PruningStats,
                         store: Optional[PackedStore] = None,
                         ) -> List[List[Tuple[bool, float]]]:
     """Verdicts for a whole micro-batch of ``(query, candidates)`` items.
 
-    Two passes instead of per-query interleaving: first the three bound
-    strategies run for every item (through the vectorized kernel when
-    available), then the instance-level refinement (Theorem 4.4) sweeps
-    *all* surviving pairs of the batch at once over the cached pre-sorted
-    profiles.  Verdicts, probabilities and counters are identical to
-    calling :func:`evaluate_candidates` item by item — the per-pair work is
-    a pure function of the two synopses, only the schedule changes.
+    Two passes: first the three bound strategies (Theorems 4.1–4.3) run for
+    every item through the columnar :func:`~repro.core.pruning.batch_prune`
+    kernel — gathering the candidates from ``store`` when they are resident
+    — then the instance-level refinement (Theorem 4.4) sweeps *all*
+    surviving pairs of the batch at once over the cached pre-sorted
+    profiles.  Verdicts, probabilities and every counter are identical to
+    calling ``PruningPipeline.evaluate_pair`` pair by pair: the per-pair
+    work is a pure function of the two synopses, only the schedule changes.
     """
-    if not (vectorized and HAS_NUMPY):
-        return [
-            evaluate_candidates(
-                query, candidates, keywords=keywords, gamma=gamma,
-                alpha=alpha, use_topic=use_topic,
-                use_similarity=use_similarity,
-                use_probability=use_probability, use_instance=use_instance,
-                stats=stats, vectorized=False)
-            for query, candidates in items
-        ]
     verdicts_per_item: List[List[Tuple[bool, float]]] = []
     survivors: List[Tuple[int, int, RecordSynopsis, RecordSynopsis]] = []
     for item_index, (query, candidates) in enumerate(items):
         if not candidates:
             verdicts_per_item.append([])
             continue
-        verdicts, positions = _vectorized_prune_pass(
-            query, candidates, keywords=keywords, gamma=gamma, alpha=alpha,
-            use_topic=use_topic, use_similarity=use_similarity,
-            use_probability=use_probability, stats=stats, store=store)
-        verdicts_per_item.append(verdicts)
-        for position in positions:
+        alive, pruned_topic, pruned_similarity, pruned_probability = (
+            batch_prune(query, candidates, keywords=keywords, gamma=gamma,
+                        alpha=alpha, use_topic=use_topic,
+                        use_similarity=use_similarity,
+                        use_probability=use_probability, store=store))
+        stats.pairs_considered += len(candidates)
+        stats.pruned_by_topic += pruned_topic
+        stats.pruned_by_similarity += pruned_similarity
+        stats.pruned_by_probability += pruned_probability
+        verdicts_per_item.append([(False, 0.0)] * len(candidates))
+        for position in alive.nonzero()[0].tolist():
             survivors.append((item_index, position, query,
                               candidates[position]))
     for item_index, position, query, candidate in survivors:

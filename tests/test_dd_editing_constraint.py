@@ -78,6 +78,12 @@ class TestDDDiscovery:
         config = DDDiscoveryConfig()
         assert config.max_dependent_width >= 0.8
 
+    def test_cdd_translation_has_no_constants_or_combinations(self):
+        """The shared-miner config of a DD: interval bands only."""
+        cdd = DDDiscoveryConfig().as_cdd_config()
+        assert cdd.max_constant_conditions == 0
+        assert cdd.combine_determinants is False
+
     def test_unwrap_to_cdds(self, health_repository):
         rules = discover_dd_rules(health_repository)
         unwrapped = dd_rules_as_cdds(rules)

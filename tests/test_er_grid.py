@@ -102,12 +102,9 @@ class TestCellAggregates:
         cell = next(iter(grid._cells.values()))
         for index, attribute in enumerate(SCHEMA):
             low, high = cell.distance_intervals[index]
-            size_low, size_high = cell.token_size_intervals[index]
             for synopsis in synopses:
                 entry_low, entry_high = synopsis.main_interval(attribute)
                 assert low - 1e-9 <= entry_low and entry_high <= high + 1e-9
-                entry_size_low, entry_size_high = synopsis.token_size_bounds[attribute]
-                assert size_low <= entry_size_low and entry_size_high <= size_high
 
     def test_cell_recompute_after_removal(self):
         grid = ERGrid(SCHEMA, cells_per_dim=1)

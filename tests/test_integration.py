@@ -9,10 +9,15 @@ paper's evaluation (Section 6) at reduced scale:
 * TER-iDS and the CDD-based baselines report the same answer set (the
   indexes and pruning never change the semantics);
 * TER-iDS is not slower than the index-free CDD+ER baseline;
-* the pruning strategies eliminate a large share of the candidate pairs.
+* the pruning strategies eliminate a large share of the candidate pairs;
+* no false dismissals: on randomly drawn workloads and parameters the
+  indexed, pruned engine reports exactly the answers of the exhaustive
+  ``CDD+ER`` evaluation.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.pipelines import (
     METHOD_CDD_ER,
@@ -21,7 +26,9 @@ from repro.baselines.pipelines import (
     METHOD_IJ_GER,
     METHOD_TER_IDS,
 )
+from repro.datasets.synthetic import DATASET_PROFILES
 from repro.experiments.harness import default_config, make_workload, run_method
+from repro.runtime import MicroBatchExecutor
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +140,33 @@ class TestParameterEffects:
         high_result = run_method(METHOD_TER_IDS, high_missing,
                                  default_config(high_missing, window_size=40))
         assert high_result.f_score <= low_result.f_score + 0.1
+
+
+class TestNoFalseDismissals:
+    @settings(max_examples=12, deadline=None)
+    @given(dataset=st.sampled_from(sorted(DATASET_PROFILES)),
+           missing_rate=st.floats(min_value=0.0, max_value=0.9),
+           alpha=st.floats(min_value=0.05, max_value=0.95),
+           rho=st.floats(min_value=0.1, max_value=0.9),
+           window=st.integers(min_value=2, max_value=60),
+           topic_free=st.booleans(),
+           batch_size=st.integers(min_value=1, max_value=64),
+           scale=st.sampled_from((0.25, 0.5)),
+           seed=st.integers(min_value=0, max_value=10 ** 6))
+    def test_engine_answers_equal_exhaustive_evaluation(
+            self, dataset, missing_rate, alpha, rho, window, topic_free,
+            batch_size, scale, seed):
+        """Indexes and the four pruning strategies only skip pairs that
+        exact Eq. (2) would reject: the answer set equals ``CDD+ER``'s (no
+        index, no pruning, every cross-stream pair evaluated exactly)."""
+        workload = make_workload(dataset, missing_rate=missing_rate,
+                                 scale=scale, seed=seed)
+        config = default_config(workload, window_size=window, alpha=alpha,
+                                rho=rho)
+        if topic_free:
+            config = config.with_keywords([])
+        engine = run_method(METHOD_TER_IDS, workload, config,
+                            executor=MicroBatchExecutor(batch_size=batch_size))
+        exhaustive = run_method(METHOD_CDD_ER, workload, config)
+        assert ({pair.key() for pair in engine.matches}
+                == {pair.key() for pair in exhaustive.matches})

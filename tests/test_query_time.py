@@ -31,12 +31,9 @@ from golden_utils import (
 )
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
-from repro.core.pruning import HAS_NUMPY
 from repro.datasets.synthetic import generate_dataset
 from repro.ingest import BatchPolicy, CallbackSource, IngestDriver
 from repro.runtime import MicroBatchExecutor, QueryResolver, SerialExecutor
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
 
 
 def _small_workload():
@@ -58,8 +55,7 @@ def _vectorized_executor():
 
 EXECUTORS = [
     pytest.param(_serial_executor, id="serial"),
-    pytest.param(_vectorized_executor, id="vectorized",
-                 marks=needs_numpy),
+    pytest.param(_vectorized_executor, id="vectorized"),
 ]
 
 
@@ -161,12 +157,7 @@ def test_resolve_mid_stream_tracks_the_moving_window():
 _PROPERTY_WORKLOAD = _small_workload()
 _PROPERTY_RECORDS = list(_PROPERTY_WORKLOAD.interleaved_records())
 
-#: ``(factory, available)`` — unavailable configurations degrade to serial
-#: so every drawn example still checks the property somewhere.
-_PROPERTY_CONFIGS = [
-    (_serial_executor, True),
-    (_vectorized_executor, HAS_NUMPY),
-]
+_PROPERTY_CONFIGS = [_serial_executor, _vectorized_executor]
 
 
 @given(config_index=st.integers(min_value=0,
@@ -174,9 +165,7 @@ _PROPERTY_CONFIGS = [
        probe=st.integers(min_value=0, max_value=10 ** 6))
 @settings(max_examples=12, deadline=None)
 def test_property_any_entity_any_config_matches_closure(config_index, probe):
-    factory, available = _PROPERTY_CONFIGS[config_index]
-    if not available:
-        factory = _serial_executor
+    factory = _PROPERTY_CONFIGS[config_index]
     engine = TERiDSEngine(repository=_PROPERTY_WORKLOAD.repository,
                           config=_small_config(_PROPERTY_WORKLOAD),
                           executor=factory())

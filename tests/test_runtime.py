@@ -34,7 +34,7 @@ from repro.runtime import (
     SerialExecutor,
     TupleTask,
 )
-from repro.runtime.evaluation import evaluate_pair_cached, instance_profiles
+from repro.runtime.evaluation import evaluate_task_batch, instance_profiles
 
 
 def _post(rid, gender, symptom, diagnosis, treatment, source="stream-a"):
@@ -159,8 +159,8 @@ class TestCachedEvaluation:
                     continue
                 left, right = synopses[i], synopses[j]
                 expected = reference.evaluate_pair(left, right)
-                got = evaluate_pair_cached(
-                    left, right, keywords=health_config.keywords,
+                [[got]] = evaluate_task_batch(
+                    [(left, [right])], keywords=health_config.keywords,
                     gamma=health_config.gamma, alpha=health_config.alpha,
                     use_topic=True, use_similarity=True, use_probability=True,
                     use_instance=True, stats=cached_stats)

@@ -9,17 +9,12 @@ stores hold tuples from past the snapshot) converges to the uninterrupted
 run's final state.
 """
 
-import pytest
-
 from golden_utils import canonical_matches
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
-from repro.core.pruning import HAS_NUMPY
 from repro.datasets.synthetic import generate_dataset
 from repro.indexes.er_grid import ERGrid
 from repro.runtime import MicroBatchExecutor, SerialExecutor
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
 
 
 def _small_workload():
@@ -63,7 +58,6 @@ def _run(workload, config, executor):
 # ---------------------------------------------------------------------------
 # Vectorized cell scan == scalar walk, bit for bit
 # ---------------------------------------------------------------------------
-@needs_numpy
 def test_cell_store_scan_identical_to_scalar_walk():
     workload = _small_workload()
     config = _small_config(workload)
@@ -81,7 +75,6 @@ def test_cell_store_scan_identical_to_scalar_walk():
     assert len(vectorized.grid.cell_store) == vectorized.grid.cell_count
 
 
-@needs_numpy
 def test_cell_store_enabled_mid_stream_backfills():
     """Enabling the store on a populated grid back-fills every cell."""
     workload = _small_workload()
@@ -97,7 +90,6 @@ def test_cell_store_enabled_mid_stream_backfills():
     assert len(store) == engine.grid.cell_count
 
 
-@needs_numpy
 def test_cell_store_recycles_rows_on_cell_eviction(health_pivots,
                                                    health_schema):
     grid = ERGrid(health_schema, cells_per_dim=3)

@@ -31,7 +31,6 @@ from golden_utils import (
 )
 from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
-from repro.core.pruning import HAS_NUMPY
 from repro.datasets.synthetic import generate_dataset
 from repro.obs import (
     COUNTER,
@@ -51,8 +50,6 @@ from repro.obs import (
 )
 from repro.runtime import MicroBatchExecutor, QueryResolver, SerialExecutor
 from repro.runtime.context import INGEST_SERIES_WINDOW, IngestStats
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
 
 PRUNING_FIELDS = (
     "pairs_considered", "pruned_by_topic", "pruned_by_similarity",
@@ -377,8 +374,7 @@ def _run_workload(executor_factory, telemetry):
 
 IDENTITY_EXECUTORS = [
     pytest.param(SerialExecutor, id="serial"),
-    pytest.param(lambda: MicroBatchExecutor(batch_size=8), id="vectorized",
-                 marks=needs_numpy),
+    pytest.param(lambda: MicroBatchExecutor(batch_size=8), id="vectorized"),
 ]
 
 

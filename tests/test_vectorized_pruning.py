@@ -1,18 +1,18 @@
 """Differential tests: the vectorized pruning kernel against the scalar cascade.
 
 The contract under test is *identity*, not just safety: the columnar
-:func:`~repro.core.pruning.batch_prune` kernel must reproduce the scalar
-cascade's survivor mask, per-strategy pruned counts, verdicts and
-probabilities bit-for-bit, for arbitrary synopses (hypothesis) and on the
-golden workloads (both executors).
+:func:`~repro.core.pruning.batch_prune` kernel and the batch evaluator
+:func:`~repro.runtime.evaluation.evaluate_task_batch` must reproduce the
+scalar cascade's (``PruningPipeline.evaluate_pair``) survivor mask,
+per-strategy pruned counts, verdicts and probabilities bit-for-bit, for
+arbitrary synopses (hypothesis) and on the golden workloads (both
+executors).
 """
 
 import json
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings, strategies as st
 
 from golden_utils import (
@@ -26,6 +26,7 @@ from repro.core.config import TERiDSConfig
 from repro.core.engine import TERiDSEngine
 from repro.core.pruning import (
     PackedStore,
+    PruningPipeline,
     PruningStats,
     RecordSynopsis,
     batch_prune,
@@ -37,12 +38,7 @@ from repro.core.pruning import (
 from repro.core.tuples import ImputedRecord, Record, Schema
 from repro.imputation.repository import DataRepository
 from repro.indexes.pivots import PivotSelectionConfig, select_pivots
-from repro.runtime import (
-    MicroBatchExecutor,
-    SerialExecutor,
-    evaluate_candidates,
-    evaluate_pair_cached,
-)
+from repro.runtime import MicroBatchExecutor, SerialExecutor, evaluate_task_batch
 
 SCHEMA = Schema(attributes=("symptom", "diagnosis"))
 KEYWORDS = frozenset({"diabetes"})
@@ -146,17 +142,15 @@ def test_vectorized_kernel_identical_to_scalar_cascade(records, gamma, alpha,
 
     # Full verdicts (bounds + instance-level refinement) and counters.
     vector_stats = PruningStats()
-    scalar_stats = PruningStats()
-    vectorized = evaluate_candidates(
-        query, candidates, keywords=keywords, gamma=gamma, alpha=alpha,
+    reference = PruningPipeline(keywords=keywords, gamma=gamma, alpha=alpha)
+    [vectorized] = evaluate_task_batch(
+        [(query, candidates)], keywords=keywords, gamma=gamma, alpha=alpha,
         use_topic=True, use_similarity=True, use_probability=True,
-        use_instance=True, stats=vector_stats, vectorized=True)
-    scalar = evaluate_candidates(
-        query, candidates, keywords=keywords, gamma=gamma, alpha=alpha,
-        use_topic=True, use_similarity=True, use_probability=True,
-        use_instance=True, stats=scalar_stats, vectorized=False)
+        use_instance=True, stats=vector_stats)
+    scalar = [reference.evaluate_pair(query, candidate)
+              for candidate in candidates]
     assert vectorized == scalar
-    assert vector_stats == scalar_stats
+    assert vector_stats == reference.stats
 
 
 @settings(max_examples=25, deadline=None)
@@ -221,24 +215,19 @@ def test_evaluate_candidates_verdicts_and_stats_match_scalar():
     engine, config = _populated_engine()
     synopses = engine.grid.synopses()
     vector_stats = PruningStats()
-    scalar_stats = PruningStats()
+    reference = PruningPipeline(keywords=config.keywords, gamma=config.gamma,
+                                alpha=config.alpha)
     for query in synopses[:20]:
         candidates = [s for s in synopses if s is not query]
-        vectorized = evaluate_candidates(
-            query, candidates, keywords=config.keywords, gamma=config.gamma,
-            alpha=config.alpha, use_topic=True, use_similarity=True,
-            use_probability=True, use_instance=True, stats=vector_stats,
-            vectorized=True)
-        scalar = [
-            evaluate_pair_cached(
-                query, candidate, keywords=config.keywords,
-                gamma=config.gamma, alpha=config.alpha, use_topic=True,
-                use_similarity=True, use_probability=True, use_instance=True,
-                stats=scalar_stats)
-            for candidate in candidates
-        ]
+        [vectorized] = evaluate_task_batch(
+            [(query, candidates)], keywords=config.keywords,
+            gamma=config.gamma, alpha=config.alpha, use_topic=True,
+            use_similarity=True, use_probability=True, use_instance=True,
+            stats=vector_stats)
+        scalar = [reference.evaluate_pair(query, candidate)
+                  for candidate in candidates]
         assert vectorized == scalar
-    assert vector_stats == scalar_stats
+    assert vector_stats == reference.stats
 
 
 # ---------------------------------------------------------------------------
